@@ -1,8 +1,8 @@
 // Kernel-level micro benchmarks: rasterization, Gaussian imaging, resist
-// thresholding, hotspot-oracle labeling, block DCT, CNN forward/backward —
-// plus fast-vs-reference pairs for every lhd::nn kernel (raw GEMM, Conv2d
-// forward, Linear forward, whole-CNN forward) so the blocked im2col+GEMM
-// path's speedup over the naive loops is measured per kernel and per shape.
+// thresholding, hotspot-oracle labeling, block DCT, CNN forward/backward,
+// the nn layer forwards, and the blocked GEMM against testkit's reference
+// triple loop (BM_GemmFast vs BM_GemmRef) so its speedup is measured per
+// shape.
 //
 // Alongside the console output every run lands as one phase in
 // BENCH_micro_kernels.json (obs::RunReport): name, real/CPU ns per
@@ -17,8 +17,6 @@
 
 #include "benchmark_report.hpp"
 #include "common.hpp"
-#include "lhd/exec/backend.hpp"
-#include "lhd/exec/registry.hpp"
 #include "lhd/feature/dct.hpp"
 #include "lhd/litho/oracle.hpp"
 #include "lhd/nn/gemm.hpp"
@@ -26,6 +24,7 @@
 #include "lhd/nn/loss.hpp"
 #include "lhd/nn/network.hpp"
 #include "lhd/synth/clip_gen.hpp"
+#include "lhd/testkit/oracle.hpp"
 #include "lhd/util/log.hpp"
 
 namespace {
@@ -94,19 +93,19 @@ void BM_ConnectedComponents(benchmark::State& state) {
 }
 BENCHMARK(BM_ConnectedComponents);
 
-// ----------------------------------------------- nn kernels, fast vs ref --
+// ------------------------------------------------------------ nn kernels --
 //
-// Each nn benchmark exists as a Fast/Ref pair over the same shapes; the
-// ratio of a pair's ns_per_iter is the kernel-path speedup quoted in
-// docs/PERFORMANCE.md. Shapes are the hotspot CNN's own layers at the
-// fig8/table3 configuration (16 input channels, 16×16 grid) plus tails.
+// Shapes are the hotspot CNN's own layers at the fig8/table3
+// configuration (16 input channels, 16×16 grid) plus tails. The GEMM runs
+// as a Fast/Ref pair over the same shapes; the ratio of a pair's
+// ns_per_iter is the speedup quoted in docs/PERFORMANCE.md.
 
 void fill_tensor(Rng& rng, nn::Tensor& t) {
   for (auto& v : t.storage()) v = static_cast<float>(rng.next_double());
 }
 
 /// Raw GEMM C += A·B at (m, n, k) = (range 0, 1, 2). Fast is the blocked
-/// packed kernel, Ref the naive triple loop.
+/// packed kernel, Ref the testkit reference triple loop.
 void run_gemm(benchmark::State& state, bool blocked) {
   const int m = static_cast<int>(state.range(0));
   const int n = static_cast<int>(state.range(1));
@@ -123,8 +122,8 @@ void run_gemm(benchmark::State& state, bool blocked) {
     if (blocked) {
       nn::gemm(m, n, k, a.data(), k, b.data(), n, false, c.data(), n);
     } else {
-      nn::gemm_reference(m, n, k, a.data(), k, b.data(), n, false, c.data(),
-                         n);
+      testkit::gemm_reference(m, n, k, a.data(), k, b.data(), n, false,
+                              c.data(), n);
     }
     benchmark::DoNotOptimize(c.data());
     benchmark::ClobberMemory();
@@ -146,8 +145,7 @@ BENCHMARK(BM_GemmRef)->LHD_GEMM_SHAPES;
 #undef LHD_GEMM_SHAPES
 
 /// Conv2d forward at {in_c, out_c, side, batch} = ranges 0..3.
-void run_conv_forward(benchmark::State& state, nn::KernelPath path) {
-  nn::set_kernel_path(path);
+void BM_ConvForwardFast(benchmark::State& state) {
   const int in_c = static_cast<int>(state.range(0));
   const int out_c = static_cast<int>(state.range(1));
   const int side = static_cast<int>(state.range(2));
@@ -160,26 +158,16 @@ void run_conv_forward(benchmark::State& state, nn::KernelPath path) {
   for (auto _ : state) {
     benchmark::DoNotOptimize(conv.infer(in));
   }
-  nn::clear_kernel_path_override();
-}
-
-void BM_ConvForwardFast(benchmark::State& state) {
-  run_conv_forward(state, nn::KernelPath::kFast);
-}
-void BM_ConvForwardRef(benchmark::State& state) {
-  run_conv_forward(state, nn::KernelPath::kReference);
 }
 // The hotspot CNN's three conv layers at grid 16, batch 1 and batch 32.
-#define LHD_CONV_SHAPES                                                 \
-  Args({16, 24, 16, 1})->Args({16, 24, 16, 32})->Args({24, 24, 16, 32}) \
-      ->Args({24, 32, 8, 32})
-BENCHMARK(BM_ConvForwardFast)->LHD_CONV_SHAPES;
-BENCHMARK(BM_ConvForwardRef)->LHD_CONV_SHAPES;
-#undef LHD_CONV_SHAPES
+BENCHMARK(BM_ConvForwardFast)
+    ->Args({16, 24, 16, 1})
+    ->Args({16, 24, 16, 32})
+    ->Args({24, 24, 16, 32})
+    ->Args({24, 32, 8, 32});
 
 /// Linear forward at {in_f, out_f, batch} = ranges 0..2.
-void run_linear_forward(benchmark::State& state, nn::KernelPath path) {
-  nn::set_kernel_path(path);
+void BM_LinearForwardFast(benchmark::State& state) {
   const int in_f = static_cast<int>(state.range(0));
   const int out_f = static_cast<int>(state.range(1));
   const int batch = static_cast<int>(state.range(2));
@@ -191,26 +179,16 @@ void run_linear_forward(benchmark::State& state, nn::KernelPath path) {
   for (auto _ : state) {
     benchmark::DoNotOptimize(lin.infer(in));
   }
-  nn::clear_kernel_path_override();
-}
-
-void BM_LinearForwardFast(benchmark::State& state) {
-  run_linear_forward(state, nn::KernelPath::kFast);
-}
-void BM_LinearForwardRef(benchmark::State& state) {
-  run_linear_forward(state, nn::KernelPath::kReference);
 }
 // FC1 and the classifier head, single sample and batch 32.
-#define LHD_LINEAR_SHAPES \
-  Args({512, 64, 1})->Args({512, 64, 32})->Args({64, 2, 32})
-BENCHMARK(BM_LinearForwardFast)->LHD_LINEAR_SHAPES;
-BENCHMARK(BM_LinearForwardRef)->LHD_LINEAR_SHAPES;
-#undef LHD_LINEAR_SHAPES
+BENCHMARK(BM_LinearForwardFast)
+    ->Args({512, 64, 1})
+    ->Args({512, 64, 32})
+    ->Args({64, 2, 32});
 
 /// Whole hotspot-CNN inference, batch = range 0 — the end-to-end number
-/// the per-layer pairs above decompose.
-void run_cnn_forward(benchmark::State& state, nn::KernelPath path) {
-  nn::set_kernel_path(path);
+/// the per-layer rows above decompose.
+void BM_CnnForwardFast(benchmark::State& state) {
   nn::Network net = nn::make_hotspot_cnn(16, 16);
   Rng rng(1);
   net.init(rng);
@@ -220,79 +198,8 @@ void run_cnn_forward(benchmark::State& state, nn::KernelPath path) {
   for (auto _ : state) {
     benchmark::DoNotOptimize(net.infer(in));
   }
-  nn::clear_kernel_path_override();
-}
-
-void BM_CnnForwardFast(benchmark::State& state) {
-  run_cnn_forward(state, nn::KernelPath::kFast);
-}
-void BM_CnnForwardRef(benchmark::State& state) {
-  run_cnn_forward(state, nn::KernelPath::kReference);
 }
 BENCHMARK(BM_CnnForwardFast)->Arg(1)->Arg(32);
-BENCHMARK(BM_CnnForwardRef)->Arg(1)->Arg(32);
-
-// ------------------------------------------------- exec backends, gemm/conv --
-//
-// The same GEMM and conv workloads dispatched through each registered
-// lhd::exec backend, so BENCH_micro_kernels.json carries one timing row
-// per backend per shape (BM_ExecGemm/<backend>, BM_ExecConv/<backend>) —
-// the scheduling cost/benefit of each backend over the identical math.
-
-void run_exec_gemm(benchmark::State& state, const exec::ExecBackend* backend) {
-  const int m = static_cast<int>(state.range(0));
-  const int n = static_cast<int>(state.range(1));
-  const int k = static_cast<int>(state.range(2));
-  const auto zm = static_cast<std::size_t>(m);
-  const auto zn = static_cast<std::size_t>(n);
-  const auto zk = static_cast<std::size_t>(k);
-  Rng rng(3);
-  std::vector<float> a(zm * zk), b(zk * zn), c(zm * zn);
-  for (auto& v : a) v = static_cast<float>(rng.next_double());
-  for (auto& v : b) v = static_cast<float>(rng.next_double());
-  for (auto _ : state) {
-    std::fill(c.begin(), c.end(), 0.0f);
-    backend->gemm(m, n, k, a.data(), k, b.data(), n, false, c.data(), n);
-    benchmark::DoNotOptimize(c.data());
-    benchmark::ClobberMemory();
-  }
-  state.counters["gflop_per_s"] = benchmark::Counter(
-      2.0 * m * n * k, benchmark::Counter::kIsIterationInvariantRate,
-      benchmark::Counter::kIs1000);
-}
-
-void run_exec_conv(benchmark::State& state, const exec::ExecBackend* backend) {
-  const int in_c = static_cast<int>(state.range(0));
-  const int out_c = static_cast<int>(state.range(1));
-  const int side = static_cast<int>(state.range(2));
-  const int batch = static_cast<int>(state.range(3));
-  Rng rng(7);
-  nn::Tensor in({batch, in_c, side, side});
-  fill_tensor(rng, in);
-  std::vector<float> weight(
-      static_cast<std::size_t>(out_c * in_c * 9));
-  std::vector<float> bias(static_cast<std::size_t>(out_c));
-  for (auto& v : weight) v = static_cast<float>(rng.next_double());
-  for (auto& v : bias) v = static_cast<float>(rng.next_double());
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        backend->conv2d_forward(in, weight, bias, out_c, 3, 1));
-  }
-}
-
-void register_exec_benchmarks() {
-  for (const std::string& name : lhd::exec::list_backends()) {
-    const exec::ExecBackend* backend = &exec::get_backend(name);
-    benchmark::RegisterBenchmark(("BM_ExecGemm/" + name).c_str(),
-                                 run_exec_gemm, backend)
-        ->Args({24, 8192, 144})
-        ->Args({256, 256, 256});
-    benchmark::RegisterBenchmark(("BM_ExecConv/" + name).c_str(),
-                                 run_exec_conv, backend)
-        ->Args({16, 24, 16, 32})
-        ->Args({24, 32, 8, 32});
-  }
-}
 
 void BM_CnnTrainStepBatch32(benchmark::State& state) {
   nn::Network net = nn::make_hotspot_cnn(16, 16);
@@ -318,11 +225,8 @@ int main(int argc, char** argv) {
   // both flag styles coexist on one command line.
   const lhd::Cli cli(argc, argv);
   benchmark::Initialize(&argc, argv);
-  register_exec_benchmarks();
   lhd::obs::RunReport report("micro_kernels", "");
   report.set_config("obs_enabled", lhd::obs::enabled());
-  report.set_config("kernel_default",
-                    lhd::nn::kernel_path_name(lhd::nn::active_kernel_path()));
   lhd::bench::CaptureReporter reporter(&report);
   benchmark::RunSpecifiedBenchmarks(&reporter);
   lhd::bench::write_report(report, cli, "micro_kernels");

@@ -6,15 +6,10 @@
 #      @file file-header comment (the place thread-safety guarantees live), or
 #   3. an LHD_* CMake knob declared in CMakeLists.txt is missing from
 #      README.md's "Build & run knobs" table, or
-#   4. docs/PERFORMANCE.md (the nn kernel contract) is missing, or an
-#      LHD_NN_* kernel knob is not documented in it, or
-#   5. a lint rule id shipped in src/lhd/lint/rules.hpp (the kAllRuleIds
+#   4. a lint rule id shipped in src/lhd/lint/rules.hpp (the kAllRuleIds
 #      registry) has no backticked mention in docs/STATIC_ANALYSIS.md's
 #      triage guide, or
-#   6. an exec backend registered in src/lhd/exec/registry.hpp (the
-#      kBackendNames block) has no backticked mention in docs/BACKENDS.md
-#      and README.md — every shipped backend must be documented, or
-#   7. a serve protocol op shipped in src/lhd/serve/protocol.hpp (the
+#   5. a serve protocol op shipped in src/lhd/serve/protocol.hpp (the
 #      kOpNames block) has no backticked mention in docs/SERVE.md —
 #      adding a wire op means writing it down.
 # Run from anywhere: paths resolve relative to this script's repo root.
@@ -56,25 +51,7 @@ for knob in $knobs; do
   fi
 done
 
-# --- 4. every LHD_NN_* kernel knob is documented in docs/PERFORMANCE.md ----
-# The performance-kernel contract must exist and cover each kernel knob
-# (same backticked-mention rule as the README knobs table above).
-perf_doc="$root/docs/PERFORMANCE.md"
-if [ ! -f "$perf_doc" ]; then
-  fail "docs/PERFORMANCE.md (the nn performance-kernel contract) is missing"
-else
-  for knob in $knobs; do
-    case "$knob" in
-      LHD_NN_*)
-        if ! grep -q "\`$knob\`" "$perf_doc"; then
-          fail "kernel knob '$knob' is not documented in docs/PERFORMANCE.md"
-        fi
-        ;;
-    esac
-  done
-fi
-
-# --- 5. every shipped lint rule id is documented in the triage guide -------
+# --- 4. every shipped lint rule id is documented in the triage guide -------
 # The single source of truth is the kAllRuleIds block in rules.hpp; each id
 # listed there must appear backticked in docs/STATIC_ANALYSIS.md so a
 # finding's rule id always leads to a written remedy.
@@ -95,33 +72,7 @@ if [ -f "$rules_hpp" ]; then
   fi
 fi
 
-# --- 6. every registered exec backend is documented ------------------------
-# The single source of truth is the kBackendNames block in
-# src/lhd/exec/registry.hpp; each name listed there must appear backticked
-# in docs/BACKENDS.md (the backend contract) and in README.md (the
-# LHD_EXEC_BACKEND knob row), so "add a backend" always includes writing
-# it down.
-registry_hpp="$root/src/lhd/exec/registry.hpp"
-backends_doc="$root/docs/BACKENDS.md"
-if [ -f "$registry_hpp" ]; then
-  if [ ! -f "$backends_doc" ]; then
-    fail "docs/BACKENDS.md is missing but src/lhd/exec registers backends"
-  else
-    backend_names="$(sed -n '/kBackendNames\[\]/,/};/p' "$registry_hpp" |
-      grep -oE '"[a-z][a-z0-9-]*"' | tr -d '"' | sort -u)"
-    [ -n "$backend_names" ] || fail "could not extract any backend names from $registry_hpp (kBackendNames block)"
-    for backend in $backend_names; do
-      if ! grep -q "\`$backend\`" "$backends_doc"; then
-        fail "exec backend '$backend' (kBackendNames) is not documented in docs/BACKENDS.md"
-      fi
-      if ! grep -q "\`$backend\`" "$readme"; then
-        fail "exec backend '$backend' (kBackendNames) is not mentioned in README.md"
-      fi
-    done
-  fi
-fi
-
-# --- 7. every serve protocol op is documented ------------------------------
+# --- 5. every serve protocol op is documented ------------------------------
 # The single source of truth is the kOpNames block in
 # src/lhd/serve/protocol.hpp; each op named there must appear backticked
 # in docs/SERVE.md (the wire-format contract), so "add an op" always
@@ -143,4 +94,4 @@ if [ -f "$protocol_hpp" ]; then
   fi
 fi
 
-finish "update README.md's module map / knobs table, docs/PERFORMANCE.md's kernel-knob coverage, docs/STATIC_ANALYSIS.md's rule-id coverage, docs/BACKENDS.md's backend coverage, docs/SERVE.md's op coverage, or add the missing @file header comments"
+finish "update README.md's module map / knobs table, docs/STATIC_ANALYSIS.md's rule-id coverage, docs/SERVE.md's op coverage, or add the missing @file header comments"

@@ -3,25 +3,12 @@
 #
 #   check_lint.sh [BUILD_DIR]
 #
-# Layers, strictest available first (docs/STATIC_ANALYSIS.md has the
-# full four-layer picture and the triage guide):
-#   1. House concurrency rules:
-#      a. a public core/obs/util header that declares a mutex member must
-#         annotate at least one piece of state with LHD_GUARDED_BY — a
-#         mutex protecting nothing declared is a discipline hole;
-#      b. raw std::mutex / std::lock_guard / std::unique_lock /
-#         std::condition_variable are banned in src/ outside
-#         util/thread_annotations.hpp: locked code must use the annotated
-#         lhd::Mutex shims so Clang Thread Safety Analysis sees it.
-#      When BUILD_DIR holds a built tools/lhd_lint, both rules delegate to
-#      it (token-accurate: comments, strings and raw strings can never
-#      false-positive, suppressions and the baseline apply). The grep
-#      fallback below keeps toolchain-free runs honest. The *full* lhd_lint
-#      rule set runs as its own ctest (`lhd_lint`).
-#   2. clang-tidy over every src/ translation unit via the build dir's
+# Layers (docs/STATIC_ANALYSIS.md has the full four-layer picture and the
+# triage guide; the house rules run as their own `lhd_lint` ctest):
+#   1. clang-tidy over every src/ translation unit via the build dir's
 #      compile_commands.json and the repo .clang-tidy (skipped with a note
 #      when clang-tidy is not installed).
-#   3. shellcheck over scripts/*.sh (skipped with a note when absent).
+#   2. shellcheck over scripts/*.sh (skipped with a note when absent).
 #
 # BUILD_DIR defaults to <repo>/build.
 
@@ -31,100 +18,7 @@ check_name="check_lint"
 
 build_dir="${1:-$root/build}"
 
-# Strip // comments, /* ... */ block comments (including multi-line) and
-# the *contents* of "..." string literals, so prose like "guarded by a
-# mutex" never trips the type-usage patterns below. A one-pass awk state
-# machine; raw strings and multi-line literals are beyond it — that level
-# of accuracy is what the lhd_lint delegation above provides.
-strip_comments() {
-  awk '
-    BEGIN { inblock = 0 }
-    {
-      line = $0; out = ""; i = 1; n = length(line)
-      while (i <= n) {
-        c = substr(line, i, 1); d = substr(line, i + 1, 1)
-        if (inblock) {
-          if (c == "*" && d == "/") { inblock = 0; i += 2 } else { i++ }
-          continue
-        }
-        if (c == "/" && d == "/") break
-        if (c == "/" && d == "*") { inblock = 1; i += 2; continue }
-        if (c == "\"") {
-          i++
-          while (i <= n) {
-            e = substr(line, i, 1)
-            if (e == "\\") { i += 2; continue }
-            i++
-            if (e == "\"") break
-          }
-          out = out "\"\""
-          continue
-        }
-        out = out c; i++
-      }
-      print out
-    }' "$1"
-}
-
-# Regression self-test for strip_comments: block comments and string
-# literals mentioning primitives must come out inert, real code must
-# survive. Guards the fallback itself — a broken stripper either
-# false-positives on prose or waves real usage through.
-strip_fixture="$(mktemp)"
-trap 'rm -f "$strip_fixture"' EXIT
-cat > "$strip_fixture" << 'EOF'
-// std::mutex in a line comment
-/* std::mutex in a
-   multi-line block comment */
-const char* s = "std::mutex in a string \" with escape";
-int live; /* trailing */ std::mutex real_usage;
-EOF
-stripped="$(strip_comments "$strip_fixture")"
-if echo "$stripped" | grep -c 'std::mutex' | grep -qxv 1; then
-  fail "strip_comments self-test: expected exactly the one live std::mutex to survive stripping"
-fi
-if ! echo "$stripped" | grep -q 'int live'; then
-  fail "strip_comments self-test: real code before a trailing block comment was lost"
-fi
-
-# --- 1. house concurrency rules ---------------------------------------------
-lint_bin="$build_dir/tools/lhd_lint"
-if [ -x "$lint_bin" ]; then
-  # Token-accurate path: delegate rules 1a/1b to the in-repo analyzer.
-  if ! lint_out="$("$lint_bin" --root="$root" --rule=mutex-guards \
-                   --rule=raw-sync-primitive 2>&1)"; then
-    echo "$lint_out" >&2
-    fail "lhd_lint found concurrency-rule violations (rules mutex-guards, raw-sync-primitive)"
-  fi
-else
-  note "tools/lhd_lint not built in '$build_dir' — using the grep fallback for rules 1a/1b"
-
-  # --- 1a. mutex members in public headers must guard annotated state ------
-  for header in "$root"/src/lhd/core/*.hpp "$root"/src/lhd/obs/*.hpp \
-                "$root"/src/lhd/util/*.hpp; do
-    case "$header" in
-      */thread_annotations.hpp) continue ;;  # the shim's own internals
-    esac
-    if strip_comments "$header" |
-        grep -qE '^[[:space:]]*(mutable[[:space:]]+)?((lhd::)?Mutex|std::(recursive_|shared_|timed_)?mutex)[[:space:]]+[A-Za-z_][A-Za-z0-9_]*;' &&
-        ! grep -q 'LHD_GUARDED_BY' "$header"; then
-      fail "'${header#"$root"/}' declares a mutex member but no LHD_GUARDED_BY state — annotate what the mutex protects"
-    fi
-  done
-
-  # --- 1b. no raw std synchronization primitives outside the shim ----------
-  for src_file in "$root"/src/lhd/*/*.hpp "$root"/src/lhd/*/*.cpp; do
-    case "$src_file" in
-      */thread_annotations.hpp) continue ;;
-    esac
-    if strip_comments "$src_file" |
-        grep -qE 'std::(mutex|lock_guard|unique_lock|scoped_lock|condition_variable)\b'; then
-      fail "'${src_file#"$root"/}' uses a raw std synchronization primitive — use lhd::Mutex/MutexLock/CondVar from util/thread_annotations.hpp"
-    fi
-  done
-fi
-
-# --- 2. clang-tidy ---------------------------------------------------------
+# --- 1. clang-tidy ---------------------------------------------------------
 if have clang-tidy; then
   if [ ! -f "$build_dir/compile_commands.json" ]; then
     fail "no compile_commands.json in '$build_dir' — configure with cmake first (CMAKE_EXPORT_COMPILE_COMMANDS is on by default)"
@@ -138,10 +32,10 @@ if have clang-tidy; then
     fi
   fi
 else
-  note "SKIP clang-tidy (not installed) — house rules still enforced"
+  note "SKIP clang-tidy (not installed)"
 fi
 
-# --- 3. shellcheck ---------------------------------------------------------
+# --- 2. shellcheck ---------------------------------------------------------
 if have shellcheck; then
   if ! shellcheck "$root"/scripts/*.sh; then
     fail "shellcheck reported findings in scripts/"

@@ -12,10 +12,9 @@
 #   2. configures a dedicated build tree (build-san-<tag>) with
 #      -DLHD_SANITIZE=<mode> -DLHD_NATIVE=OFF;
 #   3. builds the test binaries named in LHD_SANITIZER_TARGETS (default
-#      "test_util test_core test_serve lhd_conformance" — the
-#      concurrency-heavy suites, the serve daemon suite, and the
-#      exec-backend conformance suite; the full suite under TSan is
-#      minutes, not seconds) and runs each directly.
+#      "test_util test_core test_serve" — the concurrency-heavy suites and
+#      the serve daemon suite; the full suite under TSan is minutes, not
+#      seconds) and runs each directly.
 #
 # The binaries are run directly rather than through the inner tree's
 # ctest: that would re-enter this script (it is itself a ctest) and drag
@@ -36,7 +35,7 @@ case "$mode" in
     ;;
 esac
 tag="$(echo "$mode" | tr ',' '-')"
-targets="${LHD_SANITIZER_TARGETS:-test_util test_core test_serve lhd_conformance}"
+targets="${LHD_SANITIZER_TARGETS:-test_util test_core test_serve}"
 
 # --- 1. probe that the compiler can link this sanitizer --------------------
 cxx="${CXX:-c++}"
@@ -75,9 +74,6 @@ fi
 
 for target in $targets; do
   bin="$build_dir/tests/$target"
-  if [ ! -x "$bin" ] && [ -x "$build_dir/tests/conformance/$target" ]; then
-    bin="$build_dir/tests/conformance/$target"
-  fi
   if [ ! -x "$bin" ]; then
     fail "$target did not produce $bin (is it a tests/ binary?)"
     continue

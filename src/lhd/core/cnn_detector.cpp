@@ -1,8 +1,6 @@
 #include "lhd/core/cnn_detector.hpp"
 
 #include "lhd/data/augment.hpp"
-#include "lhd/exec/backend.hpp"
-#include "lhd/exec/registry.hpp"
 #include "lhd/util/log.hpp"
 #include "lhd/util/stopwatch.hpp"
 
@@ -79,20 +77,12 @@ float CnnDetector::score(const data::Clip& clip) const {
 
 std::vector<float> CnnDetector::score_batch(std::span<const data::Clip> clips) const {
   if (clips.empty()) return {};
-  std::vector<float> out(clips.size());
-  const exec::ExecBackend& backend = exec::resolve();
-  backend.submit_batches(
-      clips.size(), exec::SubmitConfig{},
-      [&](std::size_t lo, std::size_t hi) {
-        nn::Rows rows(hi - lo);
-        for (std::size_t i = lo; i < hi; ++i) {
-          rows[i - lo] = extractor_->extract(clips[i]);
-        }
-        const auto probs = trainer_->predict_proba_batch(rows);
-        for (std::size_t i = lo; i < hi; ++i) {
-          out[i] = probs[i - lo] - 0.5f;
-        }
-      });
+  nn::Rows rows(clips.size());
+  for (std::size_t i = 0; i < clips.size(); ++i) {
+    rows[i] = extractor_->extract(clips[i]);
+  }
+  std::vector<float> out = trainer_->predict_proba_batch(rows);
+  for (float& p : out) p -= 0.5f;
   return out;
 }
 

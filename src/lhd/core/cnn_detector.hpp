@@ -44,15 +44,12 @@ class CnnDetector final : public Detector {
   void train(const data::Dataset& train_set) override;
   /// Score = P(hotspot) - 0.5 - threshold, so 0 keeps the natural 0.5 cut.
   float score(const data::Clip& clip) const override;
-  /// Real batched forward pass: the span is sliced into batches by the
-  /// active exec backend (exec::resolve — LHD_EXEC_BACKEND selects
-  /// scheduling), and each batch runs one feature-extraction +
-  /// Network::forward_batch() sweep instead of per clip, so the fast
-  /// kernel path runs one batched im2col+GEMM per layer. Batching only
+  /// Real batched forward pass: one feature-extraction +
+  /// Network::forward_batch() sweep over the span instead of per clip, so
+  /// every conv/linear layer runs one batched im2col+GEMM. Batching only
   /// changes the GEMM's n/m extent, never the per-element accumulation
-  /// order, so each element matches score() bit-for-bit under either
-  /// kernel path and any backend (see docs/PERFORMANCE.md and
-  /// docs/BACKENDS.md). An empty span returns an empty vector.
+  /// order, so each element matches score() bit-for-bit (see
+  /// docs/PERFORMANCE.md). An empty span returns an empty vector.
   std::vector<float> score_batch(std::span<const data::Clip> clips) const override;
   bool predict(const data::Clip& clip) const override;
   std::vector<bool> predict_all(const data::Dataset& ds) const override;

@@ -1,10 +1,5 @@
 #include "lhd/core/pipeline.hpp"
 
-#include <algorithm>
-#include <span>
-
-#include "lhd/exec/backend.hpp"
-#include "lhd/exec/registry.hpp"
 #include "lhd/obs/registry.hpp"
 #include "lhd/obs/timer.hpp"
 #include "lhd/util/stopwatch.hpp"
@@ -51,21 +46,8 @@ std::vector<SweepPoint> threshold_sweep(
   std::vector<SweepPoint> points;
   points.reserve(thresholds.size());
   // Score once; thresholds are applied to the cached scores so the sweep
-  // costs one inference pass regardless of its resolution. Scoring is
-  // side-effect-free for every in-tree detector and score_batch is
-  // bit-identical to per-sample score() for any sub-span, so the active
-  // exec backend (LHD_EXEC_BACKEND) is free to batch or fan the clips
-  // out; each slot is written exactly once, keeping the sweep
-  // deterministic.
-  std::vector<float> scores(test.size());
-  const exec::ExecBackend& backend = exec::resolve();
-  backend.submit_batches(
-      test.size(), exec::SubmitConfig{}, [&](std::size_t lo, std::size_t hi) {
-        const std::vector<float> scored = detector.score_batch(
-            std::span<const data::Clip>(test.clips()).subspan(lo, hi - lo));
-        std::copy(scored.begin(), scored.end(),
-                  scores.begin() + static_cast<std::ptrdiff_t>(lo));
-      });
+  // costs one inference pass regardless of its resolution.
+  const std::vector<float> scores = detector.score_batch(test.clips());
   for (const float t : thresholds) {
     std::vector<bool> preds(test.size());
     for (std::size_t i = 0; i < test.size(); ++i) preds[i] = scores[i] > t;

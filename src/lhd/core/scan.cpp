@@ -4,13 +4,10 @@
 #include <compare>
 #include <functional>
 #include <optional>
-#include <span>
 #include <unordered_map>
 
 #include "lhd/core/score_cache.hpp"
 #include "lhd/data/clip_hash.hpp"
-#include "lhd/exec/backend.hpp"
-#include "lhd/exec/registry.hpp"
 #include "lhd/obs/registry.hpp"
 #include "lhd/obs/timer.hpp"
 #include "lhd/util/check.hpp"
@@ -186,11 +183,9 @@ class DedupScorer {
     std::size_t index = 0;
   };
 
-  DedupScorer(const Detector& det, const exec::ExecBackend& backend,
-              ScoreCache& cache, ShardAccum& acc, geom::Coord window_nm,
-              std::size_t batch, ResolveHook hook = {})
+  DedupScorer(const Detector& det, ScoreCache& cache, ShardAccum& acc,
+              geom::Coord window_nm, std::size_t batch, ResolveHook hook = {})
       : det_(det),
-        backend_(backend),
         cache_(cache),
         acc_(acc),
         window_nm_(window_nm),
@@ -285,22 +280,10 @@ class DedupScorer {
     for (const Pending& p : pending_) {
       clips.push_back(make_clip(p.canon.rects, window_nm_));
     }
-    // Dispatch through the exec backend: it partitions the batch into
-    // sub-spans (the simd backend keeps it whole — the pre-exec
-    // behaviour; serial goes item-at-a-time; threadpool fans out with
-    // bounded in-flight batches). Each sub-span's scores are
-    // bit-identical to per-sample score() by the Detector contract, so
-    // the partition never changes the numbers.
-    std::vector<float> scores(clips.size());
-    backend_.submit_batches(
-        clips.size(), exec::SubmitConfig{},
-        [&](std::size_t lo, std::size_t hi) {
-          const std::vector<float> scored = det_.score_batch(
-              std::span<const data::Clip>(clips).subspan(lo, hi - lo));
-          LHD_CHECK(scored.size() == hi - lo, "score_batch size mismatch");
-          std::copy(scored.begin(), scored.end(),
-                    scores.begin() + static_cast<std::ptrdiff_t>(lo));
-        });
+    // By the Detector contract the batched scores are bit-identical to
+    // per-sample score(), so the batch size never changes the numbers.
+    const std::vector<float> scores = det_.score_batch(clips);
+    LHD_CHECK(scores.size() == clips.size(), "score_batch size mismatch");
     acc_.windows_classified += pending_.size();
     for (std::size_t i = 0; i < pending_.size(); ++i) {
       cache_.insert(pending_[i].canon, pending_[i].hash, scores[i]);
@@ -324,7 +307,6 @@ class DedupScorer {
   }
 
   const Detector& det_;
-  const exec::ExecBackend& backend_;
   ScoreCache& cache_;
   ShardAccum& acc_;
   geom::Coord window_nm_;
@@ -360,9 +342,9 @@ struct DedupSink {
   const Detector& det;
   DedupScorer scorer;
 
-  DedupSink(const Detector& d, const exec::ExecBackend& backend,
-            ScoreCache& cache, ShardAccum& acc, const ScanConfig& config)
-      : det(d), scorer(d, backend, cache, acc, config.window_nm, config.batch) {}
+  DedupSink(const Detector& d, ScoreCache& cache, ShardAccum& acc,
+            const ScanConfig& config)
+      : det(d), scorer(d, cache, acc, config.window_nm, config.batch) {}
 
   void window(const geom::Rect& w, std::vector<geom::Rect> rects) {
     scorer.enqueue(w, std::move(rects));
@@ -400,12 +382,12 @@ struct TwoStageDedupSink {
   DedupScorer scorer;
 
   TwoStageDedupSink(const Detector& pre, const Detector& ref,
-                    const exec::ExecBackend& backend, ScoreCache& cache,
-                    ShardAccum& acc, const ScanConfig& config)
+                    ScoreCache& cache, ShardAccum& acc,
+                    const ScanConfig& config)
       : prefilter(pre),
         refiner(ref),
         window_nm(config.window_nm),
-        scorer(ref, backend, cache, acc, config.window_nm, config.batch) {}
+        scorer(ref, cache, acc, config.window_nm, config.batch) {}
 
   void window(const geom::Rect& w, std::vector<geom::Rect> rects) {
     data::Clip clip = make_clip(std::move(rects), window_nm);
@@ -769,8 +751,7 @@ class HierWorker {
  public:
   HierWorker(const std::vector<ChipIndex>& cells,
              const std::vector<Visit>& visits, const InstanceGrid& grid,
-             ReplayCache& replay, const Detector& det,
-             const exec::ExecBackend& backend, ScoreCache& cache,
+             ReplayCache& replay, const Detector& det, ScoreCache& cache,
              ShardAccum& acc, const ScanConfig& config)
       : cells_(cells),
         visits_(visits),
@@ -779,7 +760,7 @@ class HierWorker {
         acc_(acc),
         skip_empty_(config.skip_empty),
         threshold_(det.threshold()),
-        scorer_(det, backend, cache, acc, config.window_nm, config.batch,
+        scorer_(det, cache, acc, config.window_nm, config.batch,
                 [this](std::size_t tag, float score) {
                   commit_entry(pending_keys_[tag], {false, score});
                   pending_refs_.erase(pending_keys_[tag]);
@@ -937,12 +918,11 @@ ScanResult scan_chip(const ChipIndex& chip, const Detector& detector,
   std::optional<ScoreCache> owned;
   ScoreCache& cache = select_cache(config, config.cache_capacity, owned);
   const ScoreCache::Stats before = cache.stats();
-  const exec::ExecBackend& backend = exec::resolve(config.backend);
   std::uint64_t alias_hits = 0;
   ScanResult result = scan_flat(
       chip, config, pool,
       [&](ShardAccum& acc) {
-        return DedupSink(detector, backend, cache, acc, config);
+        return DedupSink(detector, cache, acc, config);
       },
       &alias_hits);
   attach_cache_stats(result, cache, before, alias_hits);
@@ -972,13 +952,11 @@ ScanResult scan_chip_two_stage(const ChipIndex& chip,
   std::optional<ScoreCache> owned;
   ScoreCache& cache = select_cache(config, config.cache_capacity, owned);
   const ScoreCache::Stats before = cache.stats();
-  const exec::ExecBackend& backend = exec::resolve(config.backend);
   std::uint64_t alias_hits = 0;
   ScanResult result = scan_flat(
       chip, config, pool,
       [&](ShardAccum& acc) {
-        return TwoStageDedupSink(prefilter, refiner, backend, cache, acc,
-                                 config);
+        return TwoStageDedupSink(prefilter, refiner, cache, acc, config);
       },
       &alias_hits);
   attach_cache_stats(result, cache, before, alias_hits);
@@ -1048,13 +1026,12 @@ ScanResult scan_library(const gds::Library& lib, const std::string& top,
                           ? select_cache(config, config.cache_capacity, owned)
                           : (owned.emplace(0), *owned);
   const ScoreCache::Stats before = cache.stats();
-  const exec::ExecBackend& backend = exec::resolve(config.backend);
   std::uint64_t alias_hits = 0;
   ScanResult result = grid_scan(
       extent, config, pool,
       [&](ShardAccum& acc) {
-        return HierWorker(cells, visits, grid, replay, detector, backend,
-                          cache, acc, config);
+        return HierWorker(cells, visits, grid, replay, detector, cache, acc,
+                          config);
       },
       &alias_hits);
   if (config.dedup) attach_cache_stats(result, cache, before, alias_hits);

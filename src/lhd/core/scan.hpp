@@ -165,14 +165,6 @@ struct ScanConfig {
   /// between sequential scans; concurrent scans stay correct but blur the
   /// per-scan attribution.
   ScoreCache* cache = nullptr;
-  /// Execution backend batched scoring dispatches through ("serial",
-  /// "threadpool", "simd"). Empty — the default — defers to
-  /// exec::resolve(): the process-wide override, then LHD_EXEC_BACKEND,
-  /// then the compiled default. Hit lists are bit-identical across
-  /// backends (the conformance suite's scan-parity group asserts it);
-  /// only scheduling and cost change. An unknown name warns and falls
-  /// back rather than aborting.
-  std::string backend;
 };
 
 struct ScanHit {

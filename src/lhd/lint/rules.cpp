@@ -46,16 +46,16 @@ void report(std::vector<Finding>& out, const Rule& rule, const FileContext& f,
 
 /// Module ranks mirroring the dependency order declared in
 /// src/CMakeLists.txt: util <- obs <- geom <- gds <- litho <- data <-
-/// synth <- feature <- {ml, nn} <- exec <- core <- serve <-
-/// {testkit, lint} (the last two are tool/test-only peers and must not
-/// include each other). An include is legal only when it points at a
-/// strictly lower rank or stays inside the module.
+/// synth <- feature <- {ml, nn} <- core <- serve <- {testkit, lint}
+/// (the last two are tool/test-only peers and must not include each
+/// other). An include is legal only when it points at a strictly lower
+/// rank or stays inside the module.
 const std::map<std::string, int>& module_ranks() {
   static const std::map<std::string, int> ranks = {
       {"util", 0}, {"obs", 1},     {"geom", 2},    {"gds", 3},
       {"litho", 4}, {"data", 5},   {"synth", 6},   {"feature", 7},
-      {"ml", 8},   {"nn", 8},      {"exec", 9},    {"core", 10},
-      {"serve", 11}, {"testkit", 12}, {"lint", 12},
+      {"ml", 8},   {"nn", 8},      {"core", 9},    {"serve", 10},
+      {"testkit", 11}, {"lint", 11},
   };
   return ranks;
 }
@@ -224,8 +224,8 @@ class LayeringRule final : public Rule {
           std::ostringstream msg;
           msg << "'" << f.module << "' must not include '" << dest
               << "' (dependency order is util <- obs <- geom <- gds <- "
-                 "litho <- data <- synth <- feature <- {ml,nn} <- exec <- "
-                 "core <- serve <- {testkit,lint})";
+                 "litho <- data <- synth <- feature <- {ml,nn} <- core <- "
+                 "serve <- {testkit,lint})";
           report(out, *this, f, t.line, msg.str());
         }
       }
@@ -245,13 +245,13 @@ class DeterminismRule final : public Rule {
   const char* id() const override { return "determinism"; }
   const char* description() const override {
     return "no entropy or wall-clock sources in result-bearing modules "
-           "(core/exec/gds/geom/data/feature/ml/nn) — use seeded lhd::Rng "
+           "(core/gds/geom/data/feature/ml/nn) — use seeded lhd::Rng "
            "and the obs timers";
   }
 
   void check(const RepoContext& repo, std::vector<Finding>& out) const override {
-    static constexpr std::array<std::string_view, 8> kModules = {
-        "core", "exec", "gds", "geom", "data", "feature", "ml", "nn"};
+    static constexpr std::array<std::string_view, 7> kModules = {
+        "core", "gds", "geom", "data", "feature", "ml", "nn"};
     // Referencing any of these at all is a finding.
     static constexpr std::array<std::string_view, 13> kBannedIdents = {
         "rand",     "srand",   "rand_r",  "drand48",       "erand48",

@@ -1,96 +1,10 @@
 #include "lhd/nn/gemm.hpp"
 
 #include <algorithm>
-#include <atomic>
-#include <cstdlib>
-#include <string>
 
 #include "lhd/nn/tensor.hpp"
-#include "lhd/util/check.hpp"
-#include "lhd/util/log.hpp"
 
 namespace lhd::nn {
-
-// ----------------------------------------------------------- path switch --
-
-namespace {
-
-#ifndef LHD_NN_KERNEL_DEFAULT
-#define LHD_NN_KERNEL_DEFAULT "fast"
-#endif
-
-KernelPath parse_kernel_name(const std::string& name, const char* source) {
-  if (name == "fast") return KernelPath::kFast;
-  if (name == "reference") return KernelPath::kReference;
-  LHD_CHECK_MSG(false, "unrecognized " << source << " kernel path '" << name
-                                       << "' (want 'fast' or 'reference')");
-}
-
-/// Env (then compiled) default, resolved once on first use. The compiled
-/// default still *throws* on an unknown name — that is a build
-/// misconfiguration, not a deployment typo.
-KernelPath env_default_path() {
-  static const KernelPath path = parse_kernel_override(
-      std::getenv("LHD_NN_KERNEL"),
-      parse_kernel_name(LHD_NN_KERNEL_DEFAULT, "compiled-default"));
-  return path;
-}
-
-/// -1 = no override, else static_cast<int>(KernelPath).
-std::atomic<int> g_path_override{-1};
-
-}  // namespace
-
-KernelPath parse_kernel_override(const char* value, KernelPath fallback) {
-  if (value == nullptr) return fallback;
-  const std::string name(value);
-  if (name == "fast") return KernelPath::kFast;
-  if (name == "reference") return KernelPath::kReference;
-  LHD_LOG(Warn) << "unrecognized LHD_NN_KERNEL value '" << name
-                << "' (want 'fast' or 'reference') — falling back to the "
-                << "compiled default '" << kernel_path_name(fallback) << "'";
-  return fallback;
-}
-
-KernelPath active_kernel_path() {
-  const int o = g_path_override.load(std::memory_order_relaxed);
-  return o < 0 ? env_default_path() : static_cast<KernelPath>(o);
-}
-
-void set_kernel_path(KernelPath path) {
-  g_path_override.store(static_cast<int>(path), std::memory_order_relaxed);
-}
-
-void clear_kernel_path_override() {
-  g_path_override.store(-1, std::memory_order_relaxed);
-}
-
-const char* kernel_path_name(KernelPath path) {
-  return path == KernelPath::kFast ? "fast" : "reference";
-}
-
-// ------------------------------------------------------------- reference --
-
-void gemm_reference(int m, int n, int k, const float* a, int lda,
-                    const float* b, int ldb, bool trans_b, float* c,
-                    int ldc) {
-  for (int i = 0; i < m; ++i) {
-    const float* arow = a + static_cast<std::size_t>(i) * static_cast<std::size_t>(lda);
-    float* crow = c + static_cast<std::size_t>(i) * static_cast<std::size_t>(ldc);
-    for (int j = 0; j < n; ++j) {
-      float acc = 0.0f;
-      for (int p = 0; p < k; ++p) {
-        const float bv =
-            trans_b ? b[static_cast<std::size_t>(j) * static_cast<std::size_t>(ldb) +
-                        static_cast<std::size_t>(p)]
-                    : b[static_cast<std::size_t>(p) * static_cast<std::size_t>(ldb) +
-                        static_cast<std::size_t>(j)];
-        acc += arow[p] * bv;
-      }
-      crow[j] += acc;
-    }
-  }
-}
 
 // --------------------------------------------------------------- blocked --
 //

@@ -1,44 +1,11 @@
 #pragma once
 // Cache-blocked single-precision GEMM — the shared microkernel behind the
-// fast Conv2d (im2col+GEMM) and Linear forward paths — plus the runtime
-// kernel-path switch (`LHD_NN_KERNEL`). The layout/alignment/tolerance
-// contract every caller relies on is written down in docs/PERFORMANCE.md.
+// Conv2d (im2col+GEMM) and Linear forward paths. The layout/alignment/
+// tolerance contract every caller relies on is written down in
+// docs/PERFORMANCE.md; the triple loop it is tested against is
+// testkit::gemm_reference.
 
 namespace lhd::nn {
-
-/// Which implementation the nn layers run their forward passes through.
-///  * kFast      — blocked, packed im2col+GEMM kernels (the default);
-///  * kReference — the original naive loops, kept verbatim as the
-///                 differential-testing oracle and portability fallback.
-enum class KernelPath { kFast, kReference };
-
-/// The path in effect: a process-wide programmatic override if one was
-/// set, else the `LHD_NN_KERNEL` environment variable (`fast` or
-/// `reference`, parsed once via parse_kernel_override), else the compiled
-/// default (CMake cache variable `LHD_NN_KERNEL`, normally `fast`). An
-/// unrecognized environment value logs a warning and falls back to the
-/// compiled default — a typo in deployment config must degrade to the
-/// shipped kernel, not abort the process. Thread-safe to read
-/// concurrently.
-KernelPath active_kernel_path();
-
-/// Parse one override string: "fast" / "reference" map to their paths;
-/// nullptr (variable unset) silently returns `fallback`; any other value
-/// logs a warning naming the bad value and returns `fallback`. Exposed
-/// for tests; active_kernel_path() routes the LHD_NN_KERNEL environment
-/// variable through here.
-KernelPath parse_kernel_override(const char* value, KernelPath fallback);
-
-/// Programmatic override of the kernel path (tests and benches compare
-/// both paths in one process). Takes effect for subsequent forwards; do
-/// not flip it while other threads are inside an inference call.
-void set_kernel_path(KernelPath path);
-
-/// Drop the programmatic override and fall back to env/compiled default.
-void clear_kernel_path_override();
-
-/// Stable lowercase name ("fast" / "reference") for logs and reports.
-const char* kernel_path_name(KernelPath path);
 
 /// C (m×n, row-major, leading dimension ldc) += A (m×k, row-major, lda)
 /// times B, where B is
@@ -49,11 +16,5 @@ const char* kernel_path_name(KernelPath path);
 /// pointers may be unaligned (packing copies into aligned scratch).
 void gemm(int m, int n, int k, const float* a, int lda, const float* b,
           int ldb, bool trans_b, float* c, int ldc);
-
-/// Textbook triple loop with the same signature and accumulation order
-/// fixed by definition — the oracle gemm() is differential-tested against.
-void gemm_reference(int m, int n, int k, const float* a, int lda,
-                    const float* b, int ldb, bool trans_b, float* c,
-                    int ldc);
 
 }  // namespace lhd::nn

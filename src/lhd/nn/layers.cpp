@@ -17,33 +17,6 @@ inline std::size_t uz(int v) { return static_cast<std::size_t>(v); }
 /// budgets on the hotspot-CNN shapes).
 constexpr std::size_t kConvColBudget = std::size_t{1} << 18;
 
-/// The original per-element im2col gather, kept verbatim as part of the
-/// reference kernel path (same output bits as Conv2d::im2col, produced the
-/// slow branchy way).
-void im2col_naive(const float* src, int in_c, int k, int pad, int h, int w,
-                  float* col, std::size_t pitch) {
-  const int oh = h + 2 * pad - k + 1;
-  const int ow = w + 2 * pad - k + 1;
-  std::size_t row = 0;
-  for (int c = 0; c < in_c; ++c) {
-    const float* plane = src + static_cast<std::size_t>(c) * h * w;
-    for (int ky = 0; ky < k; ++ky) {
-      for (int kx = 0; kx < k; ++kx, ++row) {
-        float* dst = col + row * pitch;
-        for (int y = 0; y < oh; ++y) {
-          const int sy = y + ky - pad;
-          for (int x = 0; x < ow; ++x) {
-            const int sx = x + kx - pad;
-            dst[y * ow + x] = (sy < 0 || sy >= h || sx < 0 || sx >= w)
-                                  ? 0.0f
-                                  : plane[sy * w + sx];
-          }
-        }
-      }
-    }
-  }
-}
-
 }  // namespace
 
 // ---------------------------------------------------------------- Conv2d --
@@ -74,8 +47,8 @@ void Conv2d::im2col(const float* src, int h, int w, float* col,
   // spatial size equals input size because stride 1 with symmetric
   // padding keeps H, W when pad = (k-1)/2.
   //
-  // Bit-identical to the naive per-element gather the reference path
-  // keeps, but structured as bulk copies: when ow == w (the same-pad
+  // The same values as a per-element gather, but structured as bulk
+  // copies: when ow == w (the same-pad
   // case every hotspot CNN layer hits), destination lines and source
   // lines share the same stride, so ALL in-range y lines of one
   // (c, ky, kx) row form one contiguous copy — the ≤pad elements per
@@ -175,8 +148,7 @@ Tensor Conv2d::apply(const Tensor& input) const {
   const int oh = input.dim(2) + 2 * pad_ - k_ + 1;
   const int ow = input.dim(3) + 2 * pad_ - k_ + 1;
   LHD_CHECK(oh > 0 && ow > 0, "conv output collapsed to zero");
-  return active_kernel_path() == KernelPath::kFast ? apply_gemm(input)
-                                                   : apply_reference(input);
+  return apply_gemm(input);
 }
 
 Tensor Conv2d::apply_gemm(const Tensor& input) const {
@@ -234,64 +206,6 @@ Tensor Conv2d::apply_gemm(const Tensor& input) const {
           std::copy_n(gemm_out.data() + uz(oc) * cols + uz(s) * spatial,
                       spatial, dst + uz(oc) * spatial);
         }
-      }
-    }
-  }
-  return out;
-}
-
-Tensor Conv2d::apply_reference(const Tensor& input) const {
-  const int n = input.dim(0);
-  const int h = input.dim(2);
-  const int w = input.dim(3);
-  const int oh = h + 2 * pad_ - k_ + 1;
-  const int ow = w + 2 * pad_ - k_ + 1;
-
-  Tensor out({n, out_c_, oh, ow});
-  const int krows = in_c_ * k_ * k_;
-  std::vector<float> col(static_cast<std::size_t>(krows) * oh * ow);
-  const std::size_t spatial = static_cast<std::size_t>(oh) * ow;
-
-  for (int s = 0; s < n; ++s) {
-    im2col_naive(input.data() + static_cast<std::size_t>(s) * in_c_ * h * w,
-                 in_c_, k_, pad_, h, w, col.data(), spatial);
-    float* dst = out.data() + static_cast<std::size_t>(s) * out_c_ * spatial;
-    // Process output channels four at a time so each col row is read once
-    // per group instead of once per channel (the loop is memory-bound).
-    int oc = 0;
-    for (; oc + 4 <= out_c_; oc += 4) {
-      float* o0 = dst + static_cast<std::size_t>(oc) * spatial;
-      float* o1 = o0 + spatial;
-      float* o2 = o1 + spatial;
-      float* o3 = o2 + spatial;
-      std::fill(o0, o0 + spatial, bias_[static_cast<std::size_t>(oc)]);
-      std::fill(o1, o1 + spatial, bias_[static_cast<std::size_t>(oc) + 1]);
-      std::fill(o2, o2 + spatial, bias_[static_cast<std::size_t>(oc) + 2]);
-      std::fill(o3, o3 + spatial, bias_[static_cast<std::size_t>(oc) + 3]);
-      const float* w0 = weight_.data() + static_cast<std::size_t>(oc) * krows;
-      const float* w1 = w0 + krows;
-      const float* w2 = w1 + krows;
-      const float* w3 = w2 + krows;
-      for (int r = 0; r < krows; ++r) {
-        const float* crow = col.data() + static_cast<std::size_t>(r) * spatial;
-        const float a = w0[r], b = w1[r], c = w2[r], d = w3[r];
-        for (std::size_t i = 0; i < spatial; ++i) {
-          const float v = crow[i];
-          o0[i] += a * v;
-          o1[i] += b * v;
-          o2[i] += c * v;
-          o3[i] += d * v;
-        }
-      }
-    }
-    for (; oc < out_c_; ++oc) {
-      const float* wrow = weight_.data() + static_cast<std::size_t>(oc) * krows;
-      float* orow = dst + static_cast<std::size_t>(oc) * spatial;
-      std::fill(orow, orow + spatial, bias_[static_cast<std::size_t>(oc)]);
-      for (int r = 0; r < krows; ++r) {
-        const float wv = wrow[r];
-        const float* crow = col.data() + static_cast<std::size_t>(r) * spatial;
-        for (std::size_t i = 0; i < spatial; ++i) orow[i] += wv * crow[i];
       }
     }
   }
@@ -513,8 +427,7 @@ Tensor Linear::apply(const Tensor& input) const {
   LHD_CHECK_MSG(input.size() == static_cast<std::size_t>(n) * in_f_,
                 "linear expects " << in_f_ << " features, got "
                                   << input.size() / static_cast<std::size_t>(n));
-  return active_kernel_path() == KernelPath::kFast ? apply_gemm(input)
-                                                   : apply_reference(input);
+  return apply_gemm(input);
 }
 
 Tensor Linear::apply_gemm(const Tensor& input) const {
@@ -528,22 +441,6 @@ Tensor Linear::apply_gemm(const Tensor& input) const {
   }
   gemm(n, out_f_, in_f_, input.data(), in_f_, weight_.data(), in_f_,
        /*trans_b=*/true, out.data(), out_f_);
-  return out;
-}
-
-Tensor Linear::apply_reference(const Tensor& input) const {
-  const int n = input.dim(0);
-  Tensor out({n, out_f_});
-  for (int s = 0; s < n; ++s) {
-    const float* x = input.data() + static_cast<std::size_t>(s) * in_f_;
-    float* o = out.data() + static_cast<std::size_t>(s) * out_f_;
-    for (int j = 0; j < out_f_; ++j) {
-      const float* wrow = weight_.data() + static_cast<std::size_t>(j) * in_f_;
-      double acc = bias_[static_cast<std::size_t>(j)];
-      for (int i = 0; i < in_f_; ++i) acc += wrow[i] * x[i];
-      o[j] = static_cast<float>(acc);
-    }
-  }
   return out;
 }
 

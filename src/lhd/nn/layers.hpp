@@ -1,9 +1,9 @@
 #pragma once
 // Neural-network layers with explicit forward/backward passes. Batched
 // NCHW tensors; convolution is im2col + matmul, the standard CPU route.
-// Conv2d and Linear forwards run through the blocked GEMM in gemm.hpp by
-// default and keep their original naive loops as a selectable reference
-// path (`LHD_NN_KERNEL`); see docs/PERFORMANCE.md for the contract.
+// Conv2d and Linear forwards run through the blocked GEMM in gemm.hpp; the
+// reference loops they are tested against live in testkit (oracle.hpp).
+// See docs/PERFORMANCE.md for the contract.
 
 #include <cstddef>
 #include <memory>
@@ -61,12 +61,12 @@ class Conv2d final : public Layer {
 
   int in_channels() const { return in_c_; }
   int out_channels() const { return out_c_; }
+  int kernel() const { return k_; }
+  int pad() const { return pad_; }
 
  private:
-  /// Shape checks, then dispatch on the active kernel path.
+  /// Shape checks, then apply_gemm().
   Tensor apply(const Tensor& input) const;
-  /// The original per-sample naive loops — the differential oracle.
-  Tensor apply_reference(const Tensor& input) const;
   /// Batched im2col+GEMM: one col matrix and one blocked GEMM per chunk
   /// of samples (the whole batch when it fits the scratch budget).
   Tensor apply_gemm(const Tensor& input) const;
@@ -121,9 +121,8 @@ class Linear final : public Layer {
   void init(Rng& rng) override;
 
  private:
-  /// Shape checks, then dispatch on the active kernel path.
+  /// Shape checks, then apply_gemm().
   Tensor apply(const Tensor& input) const;
-  Tensor apply_reference(const Tensor& input) const;
   Tensor apply_gemm(const Tensor& input) const;
 
   int in_f_, out_f_;

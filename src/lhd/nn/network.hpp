@@ -41,8 +41,7 @@ class Network {
 
   /// Batched evaluation forward over flat CHW rows of `sample_shape`
   /// ({channels, height, width}): assembles ONE [N,C,H,W] tensor and runs
-  /// infer() on it, so on the fast kernel path every conv/linear layer
-  /// executes a single batched im2col+GEMM for the whole batch instead of
+  /// infer() on it, so every conv/linear layer executes a single batched im2col+GEMM for the whole batch instead of
   /// N per-sample forwards. Returns the [N, out] logits in row order.
   /// Same thread-safety and bit-identity guarantees as infer(); callers
   /// bound N (the trainer chunks) to cap activation memory.

@@ -7,6 +7,7 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <utility>
 
 #include "lhd/data/io.hpp"
 #include "lhd/feature/dct.hpp"
@@ -286,15 +287,6 @@ void expect_hierarchical_scan_parity(
 
 namespace {
 
-/// Clears the programmatic kernel-path override on scope exit, so a
-/// throwing comparison never leaks a forced path into later tests.
-struct KernelPathOverrideGuard {
-  KernelPathOverrideGuard() = default;
-  KernelPathOverrideGuard(const KernelPathOverrideGuard&) = delete;
-  KernelPathOverrideGuard& operator=(const KernelPathOverrideGuard&) = delete;
-  ~KernelPathOverrideGuard() { nn::clear_kernel_path_override(); }
-};
-
 std::size_t zu(int v) { return static_cast<std::size_t>(v); }
 
 void fill_uniform(Rng& rng, float* dst, std::size_t count) {
@@ -321,9 +313,106 @@ void compare_close(const float* fast, const float* ref, std::size_t count,
 
 }  // namespace
 
-void expect_nn_kernel_parity(Rng& rng, std::size_t size, double tol) {
-  KernelPathOverrideGuard guard;
+void gemm_reference(int m, int n, int k, const float* a, int lda,
+                    const float* b, int ldb, bool trans_b, float* c,
+                    int ldc) {
+  for (int i = 0; i < m; ++i) {
+    const float* arow = a + zu(i) * zu(lda);
+    float* crow = c + zu(i) * zu(ldc);
+    for (int j = 0; j < n; ++j) {
+      float acc = 0.0f;
+      for (int p = 0; p < k; ++p) {
+        const float bv = trans_b ? b[zu(j) * zu(ldb) + zu(p)]
+                                 : b[zu(p) * zu(ldb) + zu(j)];
+        acc += arow[p] * bv;
+      }
+      crow[j] += acc;
+    }
+  }
+}
 
+nn::Tensor conv2d_reference(const nn::Tensor& input,
+                            std::span<const float> weight,
+                            std::span<const float> bias, int out_channels,
+                            int kernel, int pad) {
+  LHD_CHECK(input.rank() == 4, "conv2d_reference wants NCHW");
+  const int n = input.dim(0);
+  const int in_c = input.dim(1);
+  const int h = input.dim(2);
+  const int w = input.dim(3);
+  const int oh = h + 2 * pad - kernel + 1;
+  const int ow = w + 2 * pad - kernel + 1;
+  LHD_CHECK(oh > 0 && ow > 0, "conv2d_reference kernel exceeds padded input");
+  LHD_CHECK(weight.size() == zu(out_channels) * zu(in_c) * zu(kernel) *
+                                 zu(kernel) &&
+                bias.size() == zu(out_channels),
+            "conv2d_reference weight/bias size mismatch");
+  nn::Tensor out({n, out_channels, oh, ow});
+  std::size_t o = 0;
+  for (int s = 0; s < n; ++s) {
+    for (int oc = 0; oc < out_channels; ++oc) {
+      for (int oy = 0; oy < oh; ++oy) {
+        for (int ox = 0; ox < ow; ++ox) {
+          double acc = bias[zu(oc)];
+          for (int c = 0; c < in_c; ++c) {
+            for (int ky = 0; ky < kernel; ++ky) {
+              const int iy = oy + ky - pad;
+              if (iy < 0 || iy >= h) continue;
+              for (int kx = 0; kx < kernel; ++kx) {
+                const int ix = ox + kx - pad;
+                if (ix < 0 || ix >= w) continue;
+                const float x =
+                    input.data()[((zu(s) * zu(in_c) + zu(c)) * zu(h) +
+                                  zu(iy)) * zu(w) + zu(ix)];
+                const float wt =
+                    weight[((zu(oc) * zu(in_c) + zu(c)) * zu(kernel) +
+                            zu(ky)) * zu(kernel) + zu(kx)];
+                acc += static_cast<double>(x) * static_cast<double>(wt);
+              }
+            }
+          }
+          out[o++] = static_cast<float>(acc);
+        }
+      }
+    }
+  }
+  return out;
+}
+
+nn::Tensor reference_forward(nn::Network& net, const nn::Tensor& input) {
+  nn::Tensor t = input;
+  for (std::size_t i = 0; i < net.layer_count(); ++i) {
+    nn::Layer& layer = net.layer(i);
+    if (auto* conv = dynamic_cast<nn::Conv2d*>(&layer)) {
+      const std::vector<nn::Param> params = conv->params();
+      t = conv2d_reference(t, *params[0].value, *params[1].value,
+                           conv->out_channels(), conv->kernel(), conv->pad());
+    } else if (auto* linear = dynamic_cast<nn::Linear*>(&layer)) {
+      // Linear flattens any input to [N, in_features]: seed the output
+      // rows with the bias, then accumulate x · Wᵀ.
+      const std::vector<nn::Param> params = linear->params();
+      const std::vector<float>& weight = *params[0].value;
+      const std::vector<float>& bias = *params[1].value;
+      const int n = t.dim(0);
+      const int out_f = static_cast<int>(bias.size());
+      const int in_f = static_cast<int>(weight.size() / bias.size());
+      LHD_CHECK(t.size() == zu(n) * zu(in_f),
+                "reference_forward: linear input size mismatch");
+      nn::Tensor out({n, out_f});
+      for (int s = 0; s < n; ++s) {
+        std::copy(bias.begin(), bias.end(), out.data() + zu(s) * zu(out_f));
+      }
+      gemm_reference(n, out_f, in_f, t.data(), in_f, weight.data(), in_f,
+                     /*trans_b=*/true, out.data(), out_f);
+      t = std::move(out);
+    } else {
+      t = std::as_const(layer).infer(t);
+    }
+  }
+  return t;
+}
+
+void expect_nn_kernel_parity(Rng& rng, std::size_t size, double tol) {
   // 1. Raw GEMM, blocked vs naive. The bounds keep shapes small enough to
   //    shrink well while still crossing the microkernel sliver edges
   //    (and, at large sizes, the kKC panel edge) so tail handling is hit.
@@ -341,8 +430,8 @@ void expect_nn_kernel_parity(Rng& rng, std::size_t size, double tol) {
     std::vector<float> c_ref = c_fast;
     const int ldb = trans_b ? k : n;
     nn::gemm(m, n, k, a.data(), k, b.data(), ldb, trans_b, c_fast.data(), n);
-    nn::gemm_reference(m, n, k, a.data(), k, b.data(), ldb, trans_b,
-                       c_ref.data(), n);
+    gemm_reference(m, n, k, a.data(), k, b.data(), ldb, trans_b,
+                   c_ref.data(), n);
     std::ostringstream what;
     what << "blocked GEMM vs reference (m=" << m << " n=" << n << " k=" << k
          << " trans_b=" << trans_b << ")";
@@ -350,8 +439,8 @@ void expect_nn_kernel_parity(Rng& rng, std::size_t size, double tol) {
                   what.str().c_str());
   }
 
-  // 2. A random conv→relu→pool→linear stack, fast vs reference infer().
-  //    Channel counts deliberately include values that are not multiples
+  // 2. A random conv→relu→pool→linear stack, infer() vs the reference
+  //    forward. Channel counts deliberately include values that are not multiples
   //    of any sliver width.
   {
     const int batch = static_cast<int>(1 + rng.next_below(3 + size / 8));
@@ -371,12 +460,10 @@ void expect_nn_kernel_parity(Rng& rng, std::size_t size, double tol) {
     nn::Tensor in({batch, in_c, grid, grid});
     fill_uniform(rng, in.data(), in.size());
 
-    nn::set_kernel_path(nn::KernelPath::kFast);
     const nn::Tensor fast = net.infer(in);
-    nn::set_kernel_path(nn::KernelPath::kReference);
-    const nn::Tensor ref = net.infer(in);
+    const nn::Tensor ref = reference_forward(net, in);
     std::ostringstream what;
-    what << "conv/linear stack fast vs reference (batch=" << batch
+    what << "conv/linear stack infer vs reference forward (batch=" << batch
          << " grid=" << grid << " in_c=" << in_c << " mid_c=" << mid_c
          << " out_f=" << out_f << ")";
     compare_close(fast.data(), ref.data(), fast.size(), tol,
@@ -410,8 +497,8 @@ void expect_nn_kernel_parity(Rng& rng, std::size_t size, double tol) {
     nn::gemm(rows, n, k, a.data(), k, b.data(), k, /*trans_b=*/true,
              c_batch.data(), n);
     std::vector<float> c_ref = bias;
-    nn::gemm_reference(1, n, k, a.data(), k, b.data(), k, /*trans_b=*/true,
-                       c_ref.data(), n);
+    gemm_reference(1, n, k, a.data(), k, b.data(), k, /*trans_b=*/true,
+                   c_ref.data(), n);
 
     std::ostringstream what;
     what << "batch-1 row-direct GEMM (n=" << n << " k=" << k << ")";

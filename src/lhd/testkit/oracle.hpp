@@ -6,6 +6,7 @@
 // is printed too.
 
 #include <cstddef>
+#include <span>
 #include <vector>
 
 #include "lhd/core/detector.hpp"
@@ -106,18 +107,40 @@ void expect_hierarchical_scan_parity(
 
 // --- nn kernels -------------------------------------------------------------
 
-/// Fast-vs-reference nn kernel parity, two checks per call:
-///   1. the blocked GEMM vs the naive triple loop on a random (m, n, k)
+/// Textbook triple loop with nn::gemm's signature and semantics: C (m×n,
+/// ldc) += A (m×k, lda) times B (k×n, or n×k read transposed when
+/// trans_b). The GEMM oracle the blocked kernel and Linear are held to.
+void gemm_reference(int m, int n, int k, const float* a, int lda,
+                    const float* b, int ldb, bool trans_b, float* c,
+                    int ldc);
+
+/// Double-precision direct convolution — the conv oracle nn::Conv2d is
+/// held to. NCHW input, stride 1, symmetric zero padding, weight
+/// [out_c][in_c·k·k], bias [out_c]; output side h + 2·pad − kernel + 1.
+nn::Tensor conv2d_reference(const nn::Tensor& input,
+                            std::span<const float> weight,
+                            std::span<const float> bias, int out_channels,
+                            int kernel, int pad);
+
+/// The reference forward Network::infer is compared against: walks
+/// `net`'s layers, sending each Conv2d through conv2d_reference and each
+/// Linear through gemm_reference with the layer's own params(); every
+/// other layer runs its own infer().
+nn::Tensor reference_forward(nn::Network& net, const nn::Tensor& input);
+
+/// nn kernel parity against the oracles above, three checks per call:
+///   1. the blocked GEMM vs gemm_reference on a random (m, n, k)
 ///      straddling the packing sliver edges, both B orientations, with C
 ///      seeded non-zero to verify the accumulate (+=) semantics;
 ///   2. a random conv→relu→pool→linear stack with random (odd-friendly)
-///      channel counts, weights and batch, run through Network::infer()
-///      under KernelPath::kFast and KernelPath::kReference.
-/// Agreement is tolerance-based — |fast - ref| ≤ tol·(1 + max magnitude)
-/// per element — because the two paths accumulate in different orders and
-/// precisions; bit equality is deliberately NOT the contract (see
-/// docs/PERFORMANCE.md). Clears the programmatic kernel-path override on
-/// exit, even when throwing, so a failure never leaks a forced path.
+///      channel counts, weights and batch: Network::infer() vs
+///      reference_forward();
+///   3. the batch-1 row-direct GEMM: close to gemm_reference and
+///      bit-identical to the same row computed by the blocked path.
+/// Agreement with the oracles is tolerance-based — |fast - ref| ≤
+/// tol·(1 + max magnitude) per element — because they accumulate in
+/// different orders and precisions; bit equality is deliberately NOT the
+/// contract (see docs/PERFORMANCE.md).
 void expect_nn_kernel_parity(Rng& rng, std::size_t size, double tol = 1e-3);
 
 // --- serialization fixpoints ------------------------------------------------

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <filesystem>
 #include <limits>
 #include <sstream>
@@ -18,8 +19,6 @@
 #include "lhd/core/score_cache.hpp"
 #include "lhd/core/shallow_detector.hpp"
 #include "lhd/data/clip_hash.hpp"
-#include "lhd/exec/backend.hpp"
-#include "lhd/exec/registry.hpp"
 #include "lhd/gds/model.hpp"
 #include "lhd/ml/naive_bayes.hpp"
 #include "lhd/synth/chip_gen.hpp"
@@ -998,7 +997,7 @@ TEST(CnnDetector, ScoreBatchMatchesScoreBitExact) {
 
 TEST(Detector, EmptyScoreBatchReturnsEmpty) {
   // Regression: an empty span must come back as an empty vector, not
-  // trip the exec submission or allocate a garbage element.
+  // reach the scoring loop or allocate a garbage element.
   const ThresholdedDensityDetector det(0.1f);
   EXPECT_TRUE(det.score_batch(std::span<const data::Clip>()).empty());
   const std::vector<data::Clip> none;
@@ -1030,41 +1029,54 @@ TEST(CnnDetector, EmptyAndSingleClipScoreBatch) {
   EXPECT_EQ(batch[0], det.score(one[0]));
 }
 
-// ---------------------------------------------------------- exec registry --
+/// Density detector whose score_batch throws on its Nth invocation
+/// (process-wide across threads); per-clip score() never throws, so the
+/// naive baseline path is unaffected.
+class FaultyBatchDetector : public testkit::DensityCutDetector {
+ public:
+  explicit FaultyBatchDetector(int fail_on_call) : fail_on_(fail_on_call) {}
 
-TEST(ExecRegistry, ListsAllCompiledBackends) {
-  const auto names = exec::list_backends();
-  ASSERT_EQ(names.size(), std::size(exec::kBackendNames));
-  for (std::size_t i = 0; i < names.size(); ++i) {
-    EXPECT_EQ(names[i], exec::kBackendNames[i]);
-    EXPECT_EQ(exec::get_backend(names[i]).name(), names[i]);
+  std::vector<float> score_batch(
+      std::span<const data::Clip> clips) const override {
+    if (calls_.fetch_add(1) + 1 == fail_on_) {
+      throw Error("injected score_batch fault");
+    }
+    return DensityCutDetector::score_batch(clips);
   }
-}
 
-TEST(ExecRegistry, ResolveHonorsExplicitRequest) {
-  EXPECT_STREQ(exec::resolve("serial").name(), "serial");
-  EXPECT_STREQ(exec::resolve("threadpool").name(), "threadpool");
-}
+ private:
+  int fail_on_;
+  mutable std::atomic<int> calls_{0};
+};
 
-TEST(ExecRegistry, UnknownRequestFallsBackToDefault) {
-  // Mirrors LHD_NN_KERNEL: a typo degrades to the configured default
-  // (warn-and-fallback), never aborts.
-  EXPECT_EQ(exec::resolve("no-such-backend").name(),
-            exec::kDefaultBackendName);
-}
+TEST(Scan, DetectorFaultMidScanPropagatesAndScansRecover) {
+  // A detector that throws on its second score_batch call inside a
+  // two-thread dedup scan: the scan must rethrow (not hang or deadlock),
+  // and a subsequent clean scan over the same chip on the same pool must
+  // match the naive baseline.
+  ThreadPool pool(4);
+  const gds::Library lib =
+      synth::build_chip(synth::StyleConfig{}, 2, 2, 555, 4);
+  const ChipIndex chip = ChipIndex::from_library(lib, "TOP", synth::kChipLayer);
+  ScanConfig cfg;
+  cfg.window_nm = 1024;
+  cfg.stride_nm = 512;
+  cfg.dedup = true;
+  cfg.threads = 2;
+  cfg.batch = 8;
 
-TEST(ExecRegistry, UnknownGetThrows) {
-  EXPECT_THROW(exec::get_backend("no-such-backend"), Error);
-  EXPECT_EQ(exec::find_backend("no-such-backend"), nullptr);
-}
+  const FaultyBatchDetector faulty(/*fail_on_call=*/2);
+  EXPECT_THROW(scan_chip(chip, faulty, cfg, pool), Error);
 
-TEST(ExecRegistry, OverrideWinsUntilCleared) {
-  exec::set_backend_override("serial");
-  EXPECT_STREQ(exec::resolve().name(), "serial");
-  // An explicit request still beats the override.
-  EXPECT_STREQ(exec::resolve("threadpool").name(), "threadpool");
-  exec::clear_backend_override();
-  EXPECT_EQ(exec::resolve().name(), exec::kDefaultBackendName);
+  const testkit::DensityCutDetector clean(0.10f);
+  ScanConfig naive_cfg;
+  naive_cfg.window_nm = cfg.window_nm;
+  naive_cfg.stride_nm = cfg.stride_nm;
+  const ScanResult want = scan_chip(chip, clean, naive_cfg);
+  const ScanResult got = scan_chip(chip, clean, cfg, pool);
+  EXPECT_EQ(got.windows_total, want.windows_total);
+  EXPECT_EQ(got.flagged, want.flagged);
+  EXPECT_EQ(got.hits, want.hits);
 }
 
 TEST(Scan, ThreadsZeroUsesHardwareConcurrency) {

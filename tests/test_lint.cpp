@@ -217,25 +217,25 @@ TEST(LintRuleLayering, NegativeDownwardSameModuleAndSystemIncludes) {
   EXPECT_TRUE(findings_for(s, "layering").empty());
 }
 
-TEST(LintRuleLayering, ExecRankSitsBetweenNnAndCore) {
-  // Pin the exec module's place in the layering order: nn (and below) may
-  // not include exec, exec may not include core, while exec -> nn/util,
-  // core -> exec, and testkit -> exec are all legal. Findings come back in
-  // file insertion order.
-  const auto s = run({{"src/lhd/exec/backends.cpp",
+TEST(LintRuleLayering, CoreRankSitsBetweenNnAndServe) {
+  // Pin the core module's place in the layering order: nn (and below) may
+  // not include core, core may not include serve, while core -> nn/util,
+  // serve -> core, and testkit -> core are all legal. Findings come back
+  // in file insertion order.
+  const auto s = run({{"src/lhd/core/scan2.cpp",
                        "#include \"lhd/nn/gemm.hpp\"\n"
                        "#include \"lhd/util/thread_pool.hpp\"\n"},  // legal
-                      {"src/lhd/core/scan2.cpp",
-                       "#include \"lhd/exec/backend.hpp\"\n"},      // legal
+                      {"src/lhd/serve/server2.cpp",
+                       "#include \"lhd/core/scan.hpp\"\n"},         // legal
                       {"src/lhd/testkit/harness2.cpp",
-                       "#include \"lhd/exec/registry.hpp\"\n"},     // legal
-                      {"src/lhd/exec/bad.cpp",
-                       "#include \"lhd/core/scan.hpp\"\n"},         // upward
+                       "#include \"lhd/core/detector.hpp\"\n"},     // legal
+                      {"src/lhd/core/bad.cpp",
+                       "#include \"lhd/serve/server.hpp\"\n"},      // upward
                       {"src/lhd/nn/bad.cpp",
-                       "#include \"lhd/exec/backend.hpp\"\n"}});    // upward
+                       "#include \"lhd/core/scan.hpp\"\n"}});       // upward
   const auto f = findings_for(s, "layering");
   ASSERT_EQ(f.size(), 2u);
-  EXPECT_EQ(f[0].file, "src/lhd/exec/bad.cpp");
+  EXPECT_EQ(f[0].file, "src/lhd/core/bad.cpp");
   EXPECT_EQ(f[1].file, "src/lhd/nn/bad.cpp");
 }
 
@@ -252,12 +252,14 @@ TEST(LintRuleDeterminism, PositiveEntropyAndWallClockInResultModules) {
   EXPECT_EQ(findings_for(s, "determinism").size(), 3u);
 }
 
-TEST(LintRuleDeterminism, ExecModuleIsCovered) {
-  // Backend scheduling decisions feed result-bearing scans, so exec is in
-  // the determinism rule's module list.
-  const auto s = run({{"src/lhd/exec/sched.cpp",
-                       "int pick() { return rand(); }\n"}});
-  EXPECT_EQ(findings_for(s, "determinism").size(), 1u);
+TEST(LintRuleDeterminism, GdsGeomDataAndMlModulesAreCovered) {
+  // The result-bearing modules the positive fixture above leaves out:
+  // each one is in the determinism rule's module list.
+  const auto s = run({{"src/lhd/gds/pick.cpp", "int a() { return rand(); }\n"},
+                      {"src/lhd/geom/pick.cpp", "int b() { return rand(); }\n"},
+                      {"src/lhd/data/pick.cpp", "int c() { return rand(); }\n"},
+                      {"src/lhd/ml/pick.cpp", "int d() { return rand(); }\n"}});
+  EXPECT_EQ(findings_for(s, "determinism").size(), 4u);
 }
 
 TEST(LintRuleDeterminism, NegativeMembersPlainWordsAndExemptModules) {

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <functional>
 #include <memory>
+#include <ostream>
 
 #include "lhd/ml/adaboost.hpp"
 #include "lhd/ml/decision_tree.hpp"
@@ -68,52 +69,58 @@ double accuracy(const BinaryClassifier& clf, const Problem& p) {
 // blobs (train on one sample, test on a fresh one).
 using ClassifierFactory = std::function<std::unique_ptr<BinaryClassifier>()>;
 
-class AllClassifiers : public ::testing::TestWithParam<
-                           std::pair<const char*, ClassifierFactory>> {};
+struct ClassifierCase {
+  const char* name;
+  ClassifierFactory make;
+};
+
+// gtest appends the printed parameter to every listed test name. Print the
+// label only: the default byte dump holds load addresses, which change from
+// run to run and would make the registered ctest names unstable.
+void PrintTo(const ClassifierCase& c, std::ostream* os) { *os << c.name; }
+
+class AllClassifiers : public ::testing::TestWithParam<ClassifierCase> {};
 
 TEST_P(AllClassifiers, SeparatesGaussianBlobs) {
-  const auto clf = GetParam().second();
+  const auto clf = GetParam().make();
   const Problem train = blobs(60, 1);
   const Problem test = blobs(60, 2);
   clf->fit(train.x, train.y);
-  EXPECT_GE(accuracy(*clf, test), 0.9) << GetParam().first;
+  EXPECT_GE(accuracy(*clf, test), 0.9) << GetParam().name;
 }
 
 TEST_P(AllClassifiers, RejectsEmptyTrainingSet) {
-  const auto clf = GetParam().second();
+  const auto clf = GetParam().make();
   EXPECT_THROW(clf->fit({}, {}), Error);
 }
 
 TEST_P(AllClassifiers, RejectsBadLabels) {
-  const auto clf = GetParam().second();
+  const auto clf = GetParam().make();
   EXPECT_THROW(clf->fit({{1.0f}}, {0.5f}), Error);
 }
 
 TEST_P(AllClassifiers, RejectsSizeMismatch) {
-  const auto clf = GetParam().second();
+  const auto clf = GetParam().make();
   EXPECT_THROW(clf->fit({{1.0f}, {2.0f}}, {1.0f}), Error);
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Kinds, AllClassifiers,
     ::testing::Values(
-        std::pair<const char*, ClassifierFactory>{
-            "linear-svm", [] { return std::make_unique<LinearSvm>(); }},
-        std::pair<const char*, ClassifierFactory>{
-            "rbf-svm", [] { return std::make_unique<KernelSvm>(); }},
-        std::pair<const char*, ClassifierFactory>{
-            "adaboost", [] { return std::make_unique<AdaBoost>(); }},
-        std::pair<const char*, ClassifierFactory>{
-            "dtree", [] { return std::make_unique<DecisionTree>(); }},
-        std::pair<const char*, ClassifierFactory>{
-            "forest", [] { return std::make_unique<RandomForest>(); }},
-        std::pair<const char*, ClassifierFactory>{
-            "logreg", [] { return std::make_unique<LogisticRegression>(); }},
-        std::pair<const char*, ClassifierFactory>{
-            "naive-bayes",
-            [] { return std::make_unique<GaussianNaiveBayes>(); }}),
+        ClassifierCase{"linear-svm",
+                       [] { return std::make_unique<LinearSvm>(); }},
+        ClassifierCase{"rbf-svm", [] { return std::make_unique<KernelSvm>(); }},
+        ClassifierCase{"adaboost", [] { return std::make_unique<AdaBoost>(); }},
+        ClassifierCase{"dtree",
+                       [] { return std::make_unique<DecisionTree>(); }},
+        ClassifierCase{"forest",
+                       [] { return std::make_unique<RandomForest>(); }},
+        ClassifierCase{"logreg",
+                       [] { return std::make_unique<LogisticRegression>(); }},
+        ClassifierCase{"naive-bayes",
+                       [] { return std::make_unique<GaussianNaiveBayes>(); }}),
     [](const auto& param_info) {
-      std::string name = param_info.param.first;
+      std::string name = param_info.param.name;
       for (auto& ch : name) {
         if (ch == '-') ch = '_';
       }

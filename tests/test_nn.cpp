@@ -170,12 +170,6 @@ TEST(Conv2d, ChannelMismatchThrows) {
 
 // ------------------------------------------------------------ gemm kernel --
 
-/// Restores the env/compiled kernel-path default when a test that forces a
-/// path exits (including via a failed assertion).
-struct KernelPathGuard {
-  ~KernelPathGuard() { clear_kernel_path_override(); }
-};
-
 void fill_random(Rng& rng, std::vector<float>& v) {
   for (auto& x : v) x = static_cast<float>(rng.next_double(-1.0, 1.0));
 }
@@ -200,8 +194,8 @@ TEST(Gemm, BlockedMatchesReferenceAcrossTailShapes) {
           const int ldb = trans_b ? k : n;
           gemm(m, n, k, a.data(), k, b.data(), ldb, trans_b, c_fast.data(),
                n);
-          gemm_reference(m, n, k, a.data(), k, b.data(), ldb, trans_b,
-                         c_ref.data(), n);
+          testkit::gemm_reference(m, n, k, a.data(), k, b.data(), ldb,
+                                  trans_b, c_ref.data(), n);
           for (std::size_t i = 0; i < c_fast.size(); ++i) {
             ASSERT_NEAR(c_fast[i], c_ref[i],
                         1e-4 * (1.0 + std::abs(c_ref[i])))
@@ -249,34 +243,6 @@ TEST(Gemm, BatchOneRowDirectBitEqualsBlockedRow) {
   }
 }
 
-TEST(Gemm, ParseKernelOverrideRecognizesValidNames) {
-  EXPECT_EQ(parse_kernel_override("fast", KernelPath::kReference),
-            KernelPath::kFast);
-  EXPECT_EQ(parse_kernel_override("reference", KernelPath::kFast),
-            KernelPath::kReference);
-  // nullptr means "variable unset": silent fallback, no warning.
-  testing::internal::CaptureStderr();
-  EXPECT_EQ(parse_kernel_override(nullptr, KernelPath::kFast),
-            KernelPath::kFast);
-  EXPECT_EQ(parse_kernel_override(nullptr, KernelPath::kReference),
-            KernelPath::kReference);
-  EXPECT_EQ(testing::internal::GetCapturedStderr(), "");
-}
-
-TEST(Gemm, ParseKernelOverrideInvalidValueWarnsAndFallsBack) {
-  // A typo'd LHD_NN_KERNEL must not abort the process or silently pick a
-  // kernel: it falls back to the compiled default and says so.
-  testing::internal::CaptureStderr();
-  EXPECT_EQ(parse_kernel_override("turbo", KernelPath::kFast),
-            KernelPath::kFast);
-  EXPECT_EQ(parse_kernel_override("", KernelPath::kReference),
-            KernelPath::kReference);
-  const std::string warnings = testing::internal::GetCapturedStderr();
-  EXPECT_NE(warnings.find("turbo"), std::string::npos) << warnings;
-  EXPECT_NE(warnings.find("LHD_NN_KERNEL"), std::string::npos) << warnings;
-  EXPECT_NE(warnings.find("falling back"), std::string::npos) << warnings;
-}
-
 TEST(Gemm, EmptyKLeavesSeededCUntouched) {
   std::vector<float> a, b;
   std::vector<float> c = {1.0f, 2.0f, 3.0f, 4.0f, 5.0f, 6.0f};
@@ -285,22 +251,7 @@ TEST(Gemm, EmptyKLeavesSeededCUntouched) {
   EXPECT_EQ(c, saved);
 }
 
-TEST(Gemm, KernelPathOverrideRoundTrip) {
-  KernelPathGuard guard;
-  set_kernel_path(KernelPath::kFast);
-  EXPECT_EQ(active_kernel_path(), KernelPath::kFast);
-  set_kernel_path(KernelPath::kReference);
-  EXPECT_EQ(active_kernel_path(), KernelPath::kReference);
-  clear_kernel_path_override();
-  // Back to the env/compiled default — either value, but stable and named.
-  const KernelPath def = active_kernel_path();
-  EXPECT_EQ(def, active_kernel_path());
-  EXPECT_STREQ(kernel_path_name(KernelPath::kFast), "fast");
-  EXPECT_STREQ(kernel_path_name(KernelPath::kReference), "reference");
-}
-
 TEST(Conv2d, FastPathMatchesReferencePath) {
-  KernelPathGuard guard;
   // Odd channel counts so the GEMM runs with sliver tails on every edge.
   Conv2d conv(3, 5, 3, 1);
   Rng rng(73);
@@ -309,10 +260,10 @@ TEST(Conv2d, FastPathMatchesReferencePath) {
   for (std::size_t i = 0; i < in.size(); ++i) {
     in[i] = static_cast<float>(rng.next_double(-1.0, 1.0));
   }
-  set_kernel_path(KernelPath::kFast);
   const Tensor fast = conv.infer(in);
-  set_kernel_path(KernelPath::kReference);
-  const Tensor ref = conv.infer(in);
+  const auto params = conv.params();
+  const Tensor ref = testkit::conv2d_reference(
+      in, *params[0].value, *params[1].value, 5, 3, 1);
   ASSERT_EQ(fast.shape(), ref.shape());
   for (std::size_t i = 0; i < fast.size(); ++i) {
     ASSERT_NEAR(fast[i], ref[i], 1e-4 * (1.0 + std::abs(ref[i]))) << i;
@@ -320,18 +271,16 @@ TEST(Conv2d, FastPathMatchesReferencePath) {
 }
 
 TEST(Linear, FastPathMatchesReferencePath) {
-  KernelPathGuard guard;
-  Linear lin(201, 7);  // k past one KC-free run, odd everything
+  Network net;  // one Linear: k past one KC-free run, odd everything
+  net.add(std::make_unique<Linear>(201, 7));
   Rng rng(74);
-  lin.init(rng);
+  net.init(rng);
   Tensor in({5, 201});
   for (std::size_t i = 0; i < in.size(); ++i) {
     in[i] = static_cast<float>(rng.next_double(-1.0, 1.0));
   }
-  set_kernel_path(KernelPath::kFast);
-  const Tensor fast = lin.infer(in);
-  set_kernel_path(KernelPath::kReference);
-  const Tensor ref = lin.infer(in);
+  const Tensor fast = net.infer(in);
+  const Tensor ref = testkit::reference_forward(net, in);
   ASSERT_EQ(fast.shape(), ref.shape());
   for (std::size_t i = 0; i < fast.size(); ++i) {
     ASSERT_NEAR(fast[i], ref[i], 1e-4 * (1.0 + std::abs(ref[i]))) << i;
@@ -352,7 +301,6 @@ TEST(Network, ForwardBatchMatchesPerSampleInferBitExact) {
   // The score_batch bit-parity claim: batching changes only the GEMM's
   // m/n extent, never the per-element accumulation order, so a batched
   // forward must equal the batch-of-one forward bit for bit.
-  KernelPathGuard guard;
   Network net = make_hotspot_cnn(5, 8);
   Rng rng(75);
   net.init(rng);
@@ -362,18 +310,14 @@ TEST(Network, ForwardBatchMatchesPerSampleInferBitExact) {
     row.resize(sample);
     for (auto& x : row) x = static_cast<float>(rng.next_double(-1.0, 1.0));
   }
-  for (const KernelPath path : {KernelPath::kFast, KernelPath::kReference}) {
-    set_kernel_path(path);
-    const Tensor batched =
-        net.forward_batch(std::span<const std::vector<float>>(rows),
-                          {5, 8, 8});
-    ASSERT_EQ(batched.shape(), (std::vector<int>{7, 2}));
-    for (std::size_t s = 0; s < rows.size(); ++s) {
-      const Tensor one = net.forward_batch(
-          std::span<const std::vector<float>>(rows).subspan(s, 1), {5, 8, 8});
-      EXPECT_EQ(one[0], batched[s * 2 + 0]) << kernel_path_name(path) << s;
-      EXPECT_EQ(one[1], batched[s * 2 + 1]) << kernel_path_name(path) << s;
-    }
+  const Tensor batched =
+      net.forward_batch(std::span<const std::vector<float>>(rows), {5, 8, 8});
+  ASSERT_EQ(batched.shape(), (std::vector<int>{7, 2}));
+  for (std::size_t s = 0; s < rows.size(); ++s) {
+    const Tensor one = net.forward_batch(
+        std::span<const std::vector<float>>(rows).subspan(s, 1), {5, 8, 8});
+    EXPECT_EQ(one[0], batched[s * 2 + 0]) << s;
+    EXPECT_EQ(one[1], batched[s * 2 + 1]) << s;
   }
 }
 
@@ -382,7 +326,6 @@ TEST(Serialize, AlignedStorageRoundTripsBitIdentical) {
   // the aligned-storage change must not perturb a single serialized byte
   // or a single loaded weight — proven via the save→load→save fixpoint on
   // a net whose channel counts hit every sliver-tail case.
-  KernelPathGuard guard;
   Network a;
   a.add(std::make_unique<Conv2d>(3, 5, 3, 1));
   a.add(std::make_unique<Relu>());
@@ -398,8 +341,7 @@ TEST(Serialize, AlignedStorageRoundTripsBitIdentical) {
   b.init(rng);  // different weights until load
   testkit::expect_weights_fixpoint(a, b);
 
-  // And the loaded copy computes the same fast-path outputs bit for bit.
-  set_kernel_path(KernelPath::kFast);
+  // And the loaded copy computes the same outputs bit for bit.
   Tensor in({2, 3, 8, 8});
   for (std::size_t i = 0; i < in.size(); ++i) {
     in[i] = static_cast<float>(rng.next_double(-1.0, 1.0));

@@ -2,10 +2,9 @@
 // loss. Analytic backward() gradients are compared against central
 // differences of a scalar loss L = sum_i c_i * out_i (fixed random
 // coefficients), for both the input gradient and every parameter
-// gradient. Run on the reference kernel path so the forward being
-// differentiated is the plain textbook loop; the fast path is held
-// equivalent to it by the nn-kernel-parity property and the conformance
-// suite.
+// gradient. The forward being differentiated is the one production runs
+// (the blocked GEMM path), which the nn-kernel-parity property holds to
+// testkit's reference loops.
 
 #include <gtest/gtest.h>
 
@@ -13,7 +12,6 @@
 #include <cmath>
 #include <vector>
 
-#include "lhd/nn/gemm.hpp"
 #include "lhd/nn/layers.hpp"
 #include "lhd/nn/loss.hpp"
 #include "lhd/util/rng.hpp"
@@ -24,13 +22,6 @@ namespace {
 constexpr double kEps = 1e-2;      // FD step — large enough for float noise
 constexpr double kRelTol = 2e-2;   // relative agreement required
 constexpr double kAbsFloor = 1e-3; // below this magnitude, compare absolutely
-
-/// Pin the reference kernel path for the test's lifetime.
-class NnGradTest : public ::testing::Test {
- protected:
-  void SetUp() override { set_kernel_path(KernelPath::kReference); }
-  void TearDown() override { clear_kernel_path_override(); }
-};
 
 void expect_grad_close(double analytic, double fd, const std::string& what) {
   const double scale = std::max(std::abs(analytic), std::abs(fd));
@@ -102,7 +93,7 @@ Tensor random_tensor(Rng& rng, std::vector<int> shape) {
   return t;
 }
 
-TEST_F(NnGradTest, Conv2dBackwardMatchesFiniteDifferences) {
+TEST(NnGradTest, Conv2dBackwardMatchesFiniteDifferences) {
   Rng rng(101);
   Conv2d layer(/*in_channels=*/2, /*out_channels=*/3, /*kernel=*/3,
                /*pad=*/1);
@@ -110,7 +101,7 @@ TEST_F(NnGradTest, Conv2dBackwardMatchesFiniteDifferences) {
   check_layer_gradients(layer, random_tensor(rng, {2, 2, 6, 6}), rng);
 }
 
-TEST_F(NnGradTest, Conv2dNoPaddingBackwardMatchesFiniteDifferences) {
+TEST(NnGradTest, Conv2dNoPaddingBackwardMatchesFiniteDifferences) {
   // pad=0 exercises the valid-convolution index arithmetic in backward.
   Rng rng(202);
   Conv2d layer(/*in_channels=*/1, /*out_channels=*/2, /*kernel=*/3,
@@ -119,14 +110,14 @@ TEST_F(NnGradTest, Conv2dNoPaddingBackwardMatchesFiniteDifferences) {
   check_layer_gradients(layer, random_tensor(rng, {1, 1, 5, 5}), rng);
 }
 
-TEST_F(NnGradTest, LinearBackwardMatchesFiniteDifferences) {
+TEST(NnGradTest, LinearBackwardMatchesFiniteDifferences) {
   Rng rng(303);
   Linear layer(/*in_features=*/10, /*out_features=*/4);
   layer.init(rng);
   check_layer_gradients(layer, random_tensor(rng, {3, 10}), rng);
 }
 
-TEST_F(NnGradTest, SoftmaxCrossEntropyGradMatchesFiniteDifferences) {
+TEST(NnGradTest, SoftmaxCrossEntropyGradMatchesFiniteDifferences) {
   Rng rng(404);
   Tensor logits = random_tensor(rng, {3, 2});
   // Soft targets: random positive rows normalized to sum to 1 (the
