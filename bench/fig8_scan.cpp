@@ -6,8 +6,8 @@
 // the scan's thread scaling; hit lists are bit-identical across counts.
 //
 // Each flow additionally runs with clip deduplication on and off
-// (ScanConfig::dedup): dedup canonicalizes every window, memoizes scores
-// in a scan-wide ScoreCache, and batches cache misses through
+// (ScanConfig::dedup): dedup keys every window by its exact geometry,
+// memoizes scores in a scan-wide ScoreCache, and batches cache misses through
 // Detector::score_batch() — "classified" then counts actual detector
 // invocations, and the cache hit/miss/eviction tallies land in the report.
 //

@@ -34,9 +34,8 @@ namespace {
 
 using namespace lhd;
 
-/// Thread-safe stand-in detector: score = total rect area (translation-
-/// and order-invariant, satisfying the dedup/canonicalization contract)
-/// at essentially zero cost, so the bench measures serving, not scoring.
+/// Thread-safe stand-in detector: score = total rect area, at essentially
+/// zero cost, so the bench measures serving, not scoring.
 class AreaDetector final : public core::Detector {
  public:
   std::string name() const override { return "area"; }
@@ -56,8 +55,8 @@ class AreaDetector final : public core::Detector {
   float threshold_ = 0.0f;
 };
 
-/// A small per-request clip; `variant` cycles a few distinct canonical
-/// patterns so the score cache sees a realistic hit/miss mix.
+/// A small per-request clip; `variant` cycles a few distinct clips so the
+/// score cache sees a realistic hit/miss mix.
 std::vector<geom::Rect> clip_for(int variant) {
   const geom::Coord w = 100 + 37 * (variant % 8);
   return {{0, 0, w, 200}, {500, 300, 500 + w, 700}};

@@ -123,12 +123,9 @@ int main(int argc, char** argv) {
     report_scan(report, "cnn-only parallel", par, threads);
   }
 
-  // Dedup scores each distinct pattern once, on its translation-normalized
-  // form — for the CNN (whose features shift with the pattern) that is a
-  // deliberate semantic change, so compare coverage and flag counts rather
-  // than expecting bit-identical hits (that guarantee holds for
-  // canonicalization-invariant detectors; see the dedup parity property
-  // test).
+  // Dedup scores each distinct window clip once, keyed on its exact
+  // window-local geometry, so its hits must equal the plain scan's — for
+  // the CNN too (see the dedup parity property test).
   std::cout << "scanning (CNN only, dedup cache, " << threads
             << (threads == 1 ? " thread" : " threads") << ")...\n";
   scan_cfg.dedup = true;
@@ -139,7 +136,8 @@ int main(int argc, char** argv) {
             << single.windows_classified << " naive), " << dedup.flagged
             << " flagged (vs " << single.flagged << "), " << dedup.seconds
             << " s, " << dedup.cache_hits << "/" << probes
-            << " cache hits\n";
+            << " cache hits, hits "
+            << (dedup.hits == single.hits ? "identical" : "DIFFER!") << "\n";
   report_scan(report, "cnn-only dedup", dedup, threads, true);
   scan_cfg.dedup = false;
 

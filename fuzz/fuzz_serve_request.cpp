@@ -25,8 +25,7 @@
 
 namespace {
 
-// Trivial thread-safe detector: score = rect count (cheap, deterministic,
-// translation/order invariant — satisfies the dedup precondition).
+// Trivial thread-safe detector: score = rect count (cheap, deterministic).
 class CountDetector final : public lhd::core::Detector {
  public:
   std::string name() const override { return "count"; }

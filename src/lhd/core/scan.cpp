@@ -19,16 +19,41 @@ namespace lhd::core {
 
 namespace {
 
-/// Bucket-coordinate division that rounds toward negative infinity. Plain
-/// integer division truncates toward zero, which for a window starting
-/// left of / below the extent rounds the (negative) offset *up* to bucket
-/// 0 — the query would then walk bucket row/column 0 even though the
-/// window never touches it. Floor division keeps the mapping exact for
-/// any window position.
-geom::Coord floor_div(geom::Coord a, geom::Coord b) {
-  geom::Coord q = a / b;
-  if (a % b != 0 && (a < 0) != (b < 0)) --q;
-  return q;
+/// Bucket index of coordinate `v` in a grid of `bucket_nm`-wide buckets
+/// starting at `origin`, for ChipIndex and InstanceGrid alike. The offset
+/// is taken in int64: coordinates span ±2^30, so `v - origin` reaches 2^31
+/// and overflows a Coord. The division rounds toward negative infinity, so
+/// a window starting left of / below the grid maps to a negative bucket
+/// the caller clamps away rather than truncating up to bucket 0.
+std::int64_t bucket_of(geom::Coord v, geom::Coord origin,
+                       geom::Coord bucket_nm) {
+  const std::int64_t d = std::int64_t{v} - origin;
+  return d >= 0 ? d / bucket_nm : -((-d + bucket_nm - 1) / bucket_nm);
+}
+
+/// Inclusive bucket range [x0, x1] x [y0, y1] of the cells `r` touches in
+/// a bx x by grid over `extent`, clamped to the grid (possibly empty).
+struct BucketRange {
+  int x0 = 0, y0 = 0, x1 = -1, y1 = -1;
+};
+
+BucketRange bucket_range(const geom::Rect& r, const geom::Rect& extent,
+                         geom::Coord bucket_nm, int bx, int by) {
+  const auto first = [&](geom::Coord v, geom::Coord origin, int n) {
+    return static_cast<int>(
+        std::clamp<std::int64_t>(bucket_of(v, origin, bucket_nm), 0, n));
+  };
+  const auto last = [&](geom::Coord v, geom::Coord origin, int n) {
+    return static_cast<int>(
+        std::clamp<std::int64_t>(bucket_of(v, origin, bucket_nm), -1, n - 1));
+  };
+  return {first(r.xlo, extent.xlo, bx), first(r.ylo, extent.ylo, by),
+          last(r.xhi - 1, extent.xlo, bx), last(r.yhi - 1, extent.ylo, by)};
+}
+
+/// Bucket count along one axis of a non-empty extent [lo, hi).
+int bucket_count(geom::Coord lo, geom::Coord hi, geom::Coord bucket_nm) {
+  return static_cast<int>(bucket_of(hi - 1, lo, bucket_nm) + 1);
 }
 
 }  // namespace
@@ -47,19 +72,14 @@ ChipIndex::ChipIndex(std::vector<geom::Rect> rects, geom::Coord bucket_nm)
     buckets_.resize(1);
     return;
   }
-  bx_ = static_cast<int>((extent_.width() + bucket_nm_ - 1) / bucket_nm_);
-  by_ = static_cast<int>((extent_.height() + bucket_nm_ - 1) / bucket_nm_);
-  bx_ = std::max(bx_, 1);
-  by_ = std::max(by_, 1);
+  bx_ = bucket_count(extent_.xlo, extent_.xhi, bucket_nm_);
+  by_ = bucket_count(extent_.ylo, extent_.yhi, bucket_nm_);
   buckets_.assign(static_cast<std::size_t>(bx_) * by_, {});
   for (std::uint32_t i = 0; i < rects_.size(); ++i) {
-    const auto& r = rects_[i];
-    const int x0 = static_cast<int>((r.xlo - extent_.xlo) / bucket_nm_);
-    const int y0 = static_cast<int>((r.ylo - extent_.ylo) / bucket_nm_);
-    const int x1 = static_cast<int>((r.xhi - 1 - extent_.xlo) / bucket_nm_);
-    const int y1 = static_cast<int>((r.yhi - 1 - extent_.ylo) / bucket_nm_);
-    for (int by = std::max(0, y0); by <= std::min(by_ - 1, y1); ++by) {
-      for (int bx = std::max(0, x0); bx <= std::min(bx_ - 1, x1); ++bx) {
+    const BucketRange b =
+        bucket_range(rects_[i], extent_, bucket_nm_, bx_, by_);
+    for (int by = b.y0; by <= b.y1; ++by) {
+      for (int bx = b.x0; bx <= b.x1; ++bx) {
         buckets_[static_cast<std::size_t>(by) * bx_ + bx].push_back(i);
       }
     }
@@ -81,18 +101,9 @@ std::vector<geom::Rect> ChipIndex::query(const geom::Rect& window,
     std::fill(scratch.stamp_.begin(), scratch.stamp_.end(), 0);
     scratch.stamp_value_ = 1;
   }
-  const int x0 = std::max(
-      0, static_cast<int>(floor_div(window.xlo - extent_.xlo, bucket_nm_)));
-  const int y0 = std::max(
-      0, static_cast<int>(floor_div(window.ylo - extent_.ylo, bucket_nm_)));
-  const int x1 = std::min(
-      bx_ - 1,
-      static_cast<int>(floor_div(window.xhi - 1 - extent_.xlo, bucket_nm_)));
-  const int y1 = std::min(
-      by_ - 1,
-      static_cast<int>(floor_div(window.yhi - 1 - extent_.ylo, bucket_nm_)));
-  for (int by = y0; by <= y1; ++by) {
-    for (int bx = x0; bx <= x1; ++bx) {
+  const BucketRange b = bucket_range(window, extent_, bucket_nm_, bx_, by_);
+  for (int by = b.y0; by <= b.y1; ++by) {
+    for (int bx = b.x0; bx <= b.x1; ++bx) {
       for (const std::uint32_t i :
            buckets_[static_cast<std::size_t>(by) * bx_ + bx]) {
         if (scratch.stamp_[i] == scratch.stamp_value_) continue;
@@ -126,13 +137,13 @@ struct ShardAccum {
   std::size_t windows_total = 0;
   std::size_t windows_classified = 0;
   std::size_t flagged = 0;
-  /// Dedup only: windows served by a pattern still pending in the same
-  /// batch. Their ScoreCache probe counted as a miss (the memo was in
-  /// flight, not committed), but no detector invocation happened —
-  /// attach_cache_stats reclassifies them as hits.
+  /// Windows served by a pattern still pending in the same batch. Their
+  /// ScoreCache probe counted as a miss (the memo was in flight, not
+  /// committed), but no detector invocation happened — grid_scan
+  /// reclassifies them as hits.
   std::size_t batch_alias_hits = 0;
-  /// Hierarchical only: windows replayed from a memoized key (no geometry
-  /// extraction) and windows straddling >= 2 instance bboxes.
+  /// Windows replayed from a memoized key (no geometry extraction) and
+  /// windows straddling >= 2 instance bboxes; 0 on a flattened scan.
   std::uint64_t replay_hits = 0;
   std::uint64_t stitch_windows = 0;
   std::vector<ScanHit> hits;
@@ -152,26 +163,32 @@ data::Clip make_clip(std::vector<geom::Rect> rects, geom::Coord window_nm) {
   return clip;
 }
 
-/// Orders, deduplicates, and batches the expensive detector stage for one
-/// shard. Windows are enqueued in scan order; a pattern already memoized
-/// in the scan-wide ScoreCache (by any shard) resolves immediately, and
-/// cache misses accumulate until `batch` of them are scored together via
-/// Detector::score_batch(). The *canonical* clip is what gets scored, so a
-/// pattern's score never depends on which occurrence (or shard) computed
-/// it — that is what makes dedup results deterministic. finish() emits
-/// hits strictly in enqueue (row-major) order.
+/// The one scorer behind every scan. Each shard hands it windows in scan
+/// order; it keys each window by its exact memo key (the window-local
+/// rects, sorted, plus window_nm — data/clip_hash.hpp), resolves a key
+/// already memoized in the scan-wide ScoreCache (by any shard) at once, and
+/// accumulates cache misses until `batch` of them are scored together via
+/// Detector::score_batch(). The key holds the window's geometry exactly, so
+/// the memoized score is the score of the window as it sits: dedup changes
+/// the cost of a scan, never its answer. Hits are emitted strictly in
+/// enqueue (row-major) order, as soon as nothing before them is pending.
+///
+/// The plain scan is the degenerate configuration: a capacity-0 cache and
+/// a batch of 1 score every window on its own, the moment it arrives. An
+/// optional prefilter makes the scan two-stage: window() drops every
+/// window the prefilter does not predict as a hotspot before keying it.
 ///
 /// The hierarchical scan layers its replay memo on top: a window enqueued
 /// with a `tag` fires `hook(tag, score)` the moment its score is known
 /// (immediately on a cache hit, otherwise when its batch is scored);
 /// windows whose score was replayed bypass enqueue entirely via
 /// push_resolved(), and windows whose pattern is still *pending* alias it
-/// via repeat() — both still append a slot, so finish() keeps the strict
-/// scan-order emission.
+/// via repeat() — both still append a slot, so emission keeps the strict
+/// scan order.
 class DedupScorer {
  public:
   using ResolveHook = std::function<void(std::size_t tag, float score)>;
-  /// Tag meaning "no commit callback wanted" — the flattened sinks' case.
+  /// Tag meaning "no commit callback wanted" — the flattened scan's case.
   static constexpr std::size_t kNoTag = static_cast<std::size_t>(-1);
 
   /// Names a pattern still pending in the current batch. enqueue() hands
@@ -183,14 +200,30 @@ class DedupScorer {
     std::size_t index = 0;
   };
 
-  DedupScorer(const Detector& det, ScoreCache& cache, ShardAccum& acc,
-              geom::Coord window_nm, std::size_t batch, ResolveHook hook = {})
-      : det_(det),
+  DedupScorer(const Detector* prefilter, const Detector& det,
+              ScoreCache& cache, ShardAccum& acc, geom::Coord window_nm,
+              std::size_t batch, ResolveHook hook = {})
+      : prefilter_(prefilter),
+        det_(det),
         cache_(cache),
         acc_(acc),
         window_nm_(window_nm),
+        threshold_(det.threshold()),
         batch_(std::max<std::size_t>(1, batch)),
         hook_(std::move(hook)) {}
+
+  /// The flattened scan's entry: run the prefilter (if any) on the window
+  /// as it sits, then enqueue the survivors. The prefilter is the cheap
+  /// stage, so it stays uncached: memoizing it would cost more than it
+  /// saves.
+  void window(const geom::Rect& w, std::vector<geom::Rect> rects) {
+    if (prefilter_ != nullptr) {
+      data::Clip clip = make_clip(std::move(rects), window_nm_);
+      if (!prefilter_->predict(clip)) return;  // stage 1 rejects
+      rects = std::move(clip.rects);
+    }
+    enqueue(w, std::move(rects));
+  }
 
   /// Returns a ref naming the pattern if it is (still) pending after this
   /// call, std::nullopt if the window resolved immediately (cache hit) or
@@ -202,8 +235,8 @@ class DedupScorer {
         data::canonical_clip(std::move(rects), window_nm_);
     const std::uint64_t hash = data::canonical_hash(canon);
     if (const auto cached = cache_.lookup(canon, hash)) {
-      slots_.push_back({window, *cached, kResolved, kNoTag});
       if (hook_ && tag != kNoTag) hook_(tag, *cached);
+      push_resolved(window, *cached);
       return std::nullopt;
     }
     // Intra-batch dedup: a pattern already pending in this batch is scored
@@ -244,20 +277,11 @@ class DedupScorer {
   /// scan order.
   void push_resolved(const geom::Rect& window, float score) {
     slots_.push_back({window, score, kResolved, kNoTag});
+    emit_if_resolved();
   }
 
-  /// Score whatever is still pending, then emit every slot in scan order.
-  void finish(float threshold) {
-    score_pending();
-    for (const Slot& slot : slots_) {
-      if (slot.score > threshold) {
-        ++acc_.flagged;
-        acc_.hits.push_back({slot.window, slot.score});
-      }
-    }
-    slots_.clear();
-    resolved_upto_ = 0;
-  }
+  /// Score whatever is still pending and emit the remaining slots.
+  void finish() { score_pending(); }
 
  private:
   static constexpr std::ptrdiff_t kResolved = -1;
@@ -272,6 +296,19 @@ class DedupScorer {
     data::CanonicalClip canon;
     std::uint64_t hash = 0;
   };
+
+  /// With nothing pending every slot is resolved: emit them in order and
+  /// drop them, so the slots never reach back past the current batch.
+  void emit_if_resolved() {
+    if (!pending_.empty()) return;
+    for (const Slot& slot : slots_) {
+      if (slot.score > threshold_) {
+        ++acc_.flagged;
+        acc_.hits.push_back({slot.window, slot.score});
+      }
+    }
+    slots_.clear();
+  }
 
   void score_pending() {
     if (pending_.empty()) return;
@@ -288,155 +325,62 @@ class DedupScorer {
     for (std::size_t i = 0; i < pending_.size(); ++i) {
       cache_.insert(pending_[i].canon, pending_[i].hash, scores[i]);
     }
-    // Every unresolved slot references the batch just scored — slots from
-    // earlier batches were resolved by the previous score_pending().
-    for (std::size_t s = resolved_upto_; s < slots_.size(); ++s) {
-      if (slots_[s].pending != kResolved) {
-        slots_[s].score = scores[static_cast<std::size_t>(slots_[s].pending)];
-        slots_[s].pending = kResolved;
-        if (hook_ && slots_[s].tag != kNoTag) {
-          hook_(slots_[s].tag, slots_[s].score);
-          slots_[s].tag = kNoTag;
-        }
-      }
+    // Every unresolved slot references the batch just scored: slots of
+    // earlier batches were emitted when those batches resolved.
+    for (Slot& slot : slots_) {
+      if (slot.pending == kResolved) continue;
+      slot.score = scores[static_cast<std::size_t>(slot.pending)];
+      slot.pending = kResolved;
+      if (hook_ && slot.tag != kNoTag) hook_(slot.tag, slot.score);
     }
-    resolved_upto_ = slots_.size();
     pending_.clear();
     pending_by_hash_.clear();
     ++generation_;  // outstanding PendingRefs are now stale
+    emit_if_resolved();
   }
 
+  const Detector* prefilter_;
   const Detector& det_;
   ScoreCache& cache_;
   ShardAccum& acc_;
   geom::Coord window_nm_;
+  float threshold_;
   std::size_t batch_;
   ResolveHook hook_;
   std::vector<Slot> slots_;
-  std::size_t resolved_upto_ = 0;
   std::uint64_t generation_ = 0;
   std::vector<Pending> pending_;
   std::unordered_map<std::uint64_t, std::size_t> pending_by_hash_;
 };
 
-/// Single-stage sink: score every window the moment it arrives.
-struct DirectSink {
-  const Detector& det;
-  geom::Coord window_nm;
-  ShardAccum& acc;
-
-  void window(const geom::Rect& w, std::vector<geom::Rect> rects) {
-    ++acc.windows_classified;
-    const data::Clip clip = make_clip(std::move(rects), window_nm);
-    const float s = det.score(clip);
-    if (s > det.threshold()) {
-      ++acc.flagged;
-      acc.hits.push_back({w, s});
-    }
-  }
-  void flush() {}
-};
-
-/// Single-stage sink with dedup: every window goes through the scorer.
-struct DedupSink {
-  const Detector& det;
-  DedupScorer scorer;
-
-  DedupSink(const Detector& d, ScoreCache& cache, ShardAccum& acc,
-            const ScanConfig& config)
-      : det(d), scorer(d, cache, acc, config.window_nm, config.batch) {}
-
-  void window(const geom::Rect& w, std::vector<geom::Rect> rects) {
-    scorer.enqueue(w, std::move(rects));
-  }
-  void flush() { scorer.finish(det.threshold()); }
-};
-
-/// Two-stage sink: cheap prefilter proposes, refiner decides.
-struct TwoStageSink {
-  const Detector& prefilter;
-  const Detector& refiner;
-  geom::Coord window_nm;
-  ShardAccum& acc;
-
-  void window(const geom::Rect& w, std::vector<geom::Rect> rects) {
-    const data::Clip clip = make_clip(std::move(rects), window_nm);
-    if (!prefilter.predict(clip)) return;  // stage 1 rejects
-    ++acc.windows_classified;              // stage 2 work
-    const float s = refiner.score(clip);
-    if (s > refiner.threshold()) {
-      ++acc.flagged;
-      acc.hits.push_back({w, s});
-    }
-  }
-  void flush() {}
-};
-
-/// Two-stage sink with dedup: the prefilter stays an uncached per-window
-/// predict() (it is the cheap stage — caching it would cost more than it
-/// saves), only the expensive refiner is deduplicated and batched.
-struct TwoStageDedupSink {
-  const Detector& prefilter;
-  const Detector& refiner;
-  geom::Coord window_nm;
-  DedupScorer scorer;
-
-  TwoStageDedupSink(const Detector& pre, const Detector& ref,
-                    ScoreCache& cache, ShardAccum& acc,
-                    const ScanConfig& config)
-      : prefilter(pre),
-        refiner(ref),
-        window_nm(config.window_nm),
-        scorer(ref, cache, acc, config.window_nm, config.batch) {}
-
-  void window(const geom::Rect& w, std::vector<geom::Rect> rects) {
-    data::Clip clip = make_clip(std::move(rects), window_nm);
-    if (!prefilter.predict(clip)) return;  // stage 1 rejects
-    scorer.enqueue(w, std::move(clip.rects));
-  }
-  void flush() { scorer.finish(refiner.threshold()); }
-};
-
-/// Copy *this scan's* cache activity into the result and the registry.
-/// `before` is the Stats snapshot taken when the scan started: a cache
-/// shared across scans (ScanConfig::cache) keeps cumulative totals, so the
-/// per-scan numbers are the delta — reporting cache.stats() directly would
-/// double-count every preceding scan (the two-scans-one-cache regression).
-/// `alias_hits` (summed over shards) reclassifies intra-batch duplicate
-/// windows from misses to hits: they probed the cache before their
-/// pattern's memo was committed, but were served without a detector
-/// invocation — which is what the hit/miss split reports. The hit+miss
-/// total (one probe per deduped window) is conserved.
-void attach_cache_stats(ScanResult& result, const ScoreCache& cache,
-                        const ScoreCache::Stats& before,
-                        std::uint64_t alias_hits) {
-  const ScoreCache::Stats stats = cache.stats() - before;
-  result.cache_hits = stats.hits + alias_hits;
-  result.cache_misses = stats.misses - alias_hits;
-  result.cache_evictions = stats.evictions;
-  if (obs::enabled()) {
-    auto& reg = obs::Registry::global();
-    reg.add("scan.cache.hits", result.cache_hits);
-    reg.add("scan.cache.misses", result.cache_misses);
-    reg.add("scan.cache.evictions", result.cache_evictions);
-  }
-}
-
-/// Shared scan skeleton: enumerate the window grid over `extent`, shard it
-/// row-wise, hand every window to a per-shard worker built by
-/// `make_worker(accum)` (flushed at shard end), and merge shards in
-/// row-major order so results match the serial scan bit for bit. Rows are
-/// split *evenly*: with R rows over S shards the first R%S shards take
-/// one extra row, so every shard covers a non-empty contiguous ascending
-/// range and shards.size() is the shard count actually used (ceil-division
-/// used to hand trailing shards zero rows yet still report them).
+/// Shared scan skeleton: set up the scan's ScoreCache and batch size,
+/// enumerate the window grid over `extent`, shard it row-wise, hand every
+/// window to a per-shard worker built by `make_worker(accum, cache, batch)`
+/// (flushed at shard end), and merge shards in row-major order so results
+/// match the serial scan bit for bit. Rows are split *evenly*: with R rows
+/// over S shards the first R%S shards take one extra row, so every shard
+/// covers a non-empty contiguous ascending range and shards.size() is the
+/// shard count actually used.
+///
+/// The cache set-up is the same for every scan. Dedup on uses the
+/// caller-shared ScanConfig::cache or a private one of cache_capacity
+/// entries, with ScanConfig::batch. Dedup off is the degenerate case: a
+/// private capacity-0 cache that memoizes nothing and a batch of 1, so
+/// every window reaches the detector on its own, in scan order.
 template <typename MakeWorker>
 ScanResult grid_scan(const geom::Rect& extent, const ScanConfig& config,
-                     ThreadPool& pool, const MakeWorker& make_worker,
-                     std::uint64_t* batch_alias_hits = nullptr) {
+                     ThreadPool& pool, const MakeWorker& make_worker) {
   LHD_CHECK(config.window_nm > 0 && config.stride_nm > 0, "bad scan config");
   ScanResult result;
   Stopwatch sw;
+  std::optional<ScoreCache> owned;
+  ScoreCache& cache = !config.dedup            ? owned.emplace(0)
+                      : config.cache != nullptr ? *config.cache
+                                  : owned.emplace(config.cache_capacity);
+  const std::size_t batch = config.dedup ? config.batch : 1;
+  // A cache shared across scans keeps cumulative totals: report this
+  // scan's delta, not cache.stats() (the two-scans-one-cache regression).
+  const ScoreCache::Stats before = cache.stats();
   std::vector<geom::Coord> row_ys;
   for (geom::Coord y = extent.ylo; y < extent.yhi; y += config.stride_nm) {
     row_ys.push_back(y);
@@ -445,7 +389,7 @@ ScanResult grid_scan(const geom::Rect& extent, const ScanConfig& config,
   const auto scan_rows = [&](std::size_t lo, std::size_t hi,
                              ShardAccum& acc) {
     obs::ScopedTimer shard_timer(acc.seconds);
-    auto worker = make_worker(acc);
+    auto worker = make_worker(acc, cache, batch);
     for (std::size_t r = lo; r < hi; ++r) {
       const geom::Coord y = row_ys[r];
       for (geom::Coord x = extent.xlo; x < extent.xhi;
@@ -472,19 +416,25 @@ ScanResult grid_scan(const geom::Rect& extent, const ScanConfig& config,
       scan_rows(lo, hi, accums[s]);
     });
   }
+  std::uint64_t alias_hits = 0;
   for (const auto& acc : accums) {
     result.windows_total += acc.windows_total;
     result.windows_classified += acc.windows_classified;
     result.flagged += acc.flagged;
     result.replay_hits += acc.replay_hits;
     result.stitch_windows += acc.stitch_windows;
-    if (batch_alias_hits != nullptr) {
-      *batch_alias_hits += acc.batch_alias_hits;
-    }
+    alias_hits += acc.batch_alias_hits;
     result.hits.insert(result.hits.end(), acc.hits.begin(), acc.hits.end());
     result.shards.push_back(
         {acc.windows_total, acc.seconds, acc.query_seconds});
   }
+  // Intra-batch duplicates probed the cache before their pattern's memo
+  // was committed but were served without a detector invocation, which is
+  // what the hit/miss split reports; the hit+miss total is conserved.
+  const ScoreCache::Stats stats = cache.stats() - before;
+  result.cache_hits = stats.hits + alias_hits;
+  result.cache_misses = stats.misses - alias_hits;
+  result.cache_evictions = stats.evictions;
   result.seconds = sw.seconds();
   if (obs::enabled()) {
     auto& reg = obs::Registry::global();
@@ -492,6 +442,9 @@ ScanResult grid_scan(const geom::Rect& extent, const ScanConfig& config,
     reg.add("scan.windows_total", result.windows_total);
     reg.add("scan.windows_classified", result.windows_classified);
     reg.add("scan.flagged", result.flagged);
+    reg.add("scan.cache.hits", result.cache_hits);
+    reg.add("scan.cache.misses", result.cache_misses);
+    reg.add("scan.cache.evictions", result.cache_evictions);
     reg.observe("scan.seconds", result.seconds);
     if (result.seconds > 0.0) {
       reg.observe("scan.windows_per_sec",
@@ -506,16 +459,12 @@ ScanResult grid_scan(const geom::Rect& extent, const ScanConfig& config,
 }
 
 /// grid_scan worker for the flattened path: query the ChipIndex per
-/// window, apply skip_empty, and forward non-empty windows to one of the
-/// (window, rects) sinks above. This is the pre-hierarchical scan loop
-/// verbatim, just factored so both paths share the grid/shard/merge
-/// skeleton.
-template <typename Sink>
+/// window, apply skip_empty, and hand non-empty windows to the scorer.
 struct FlatWorker {
   const ChipIndex& chip;
-  const ScanConfig& config;
+  bool skip_empty = true;
   ShardAccum& acc;
-  Sink sink;
+  DedupScorer scorer;
   ChipIndex::QueryScratch scratch;
 
   void window(const geom::Rect& w) {
@@ -525,23 +474,28 @@ struct FlatWorker {
       obs::ScopedTimer query_timer(acc.query_seconds);
       rects = chip.query(w, scratch);
     }
-    if (config.skip_empty && rects.empty()) return;
-    sink.window(w, std::move(rects));
+    if (skip_empty && rects.empty()) return;
+    scorer.window(w, std::move(rects));
   }
-  void flush() { sink.flush(); }
+  void flush() { scorer.finish(); }
 };
 
-template <typename MakeSink>
-ScanResult scan_flat(const ChipIndex& chip, const ScanConfig& config,
-                     ThreadPool& pool, const MakeSink& make_sink,
-                     std::uint64_t* batch_alias_hits = nullptr) {
+/// scan_chip and scan_chip_two_stage: `prefilter` is null for the
+/// single-stage scan.
+ScanResult scan_flat(const ChipIndex& chip, const Detector* prefilter,
+                     const Detector& detector, const ScanConfig& config,
+                     ThreadPool& pool) {
+  LHD_CHECK(!config.hierarchical,
+            "scan_chip scans a flattened index; the hierarchical path needs "
+            "the GDS structure tree - call scan_library()");
   return grid_scan(
       chip.extent(), config, pool,
-      [&](ShardAccum& acc) {
-        return FlatWorker<decltype(make_sink(acc))>{
-            chip, config, acc, make_sink(acc), ChipIndex::QueryScratch{}};
-      },
-      batch_alias_hits);
+      [&](ShardAccum& acc, ScoreCache& cache, std::size_t batch) {
+        return FlatWorker{chip, config.skip_empty, acc,
+                          DedupScorer(prefilter, detector, cache, acc,
+                                      config.window_nm, batch),
+                          ChipIndex::QueryScratch{}};
+      });
 }
 
 // ---------------------------------------------------------------------------
@@ -661,24 +615,15 @@ class InstanceGrid {
       buckets_.resize(1);
       return;
     }
-    const auto spans = [this](geom::Coord lo, geom::Coord hi) {
-      return static_cast<int>(
-          (static_cast<std::int64_t>(hi) - lo + bucket_nm_ - 1) / bucket_nm_);
-    };
-    bx_ = std::max(spans(extent_.xlo, extent_.xhi), 1);
-    by_ = std::max(spans(extent_.ylo, extent_.yhi), 1);
+    bx_ = bucket_count(extent_.xlo, extent_.xhi, bucket_nm_);
+    by_ = bucket_count(extent_.ylo, extent_.yhi, bucket_nm_);
     buckets_.assign(static_cast<std::size_t>(bx_) * static_cast<std::size_t>(by_), {});
     for (std::uint32_t i = 0; i < visits.size(); ++i) {
-      const geom::Rect& b = bboxes_[i];
-      if (b.empty()) continue;
-      // Visit bboxes are inside `extent` (it is their union), so the
-      // bucket range needs no clamping beyond the grid edge.
-      const int x0 = std::max(0, bucket_of(b.xlo, extent_.xlo));
-      const int y0 = std::max(0, bucket_of(b.ylo, extent_.ylo));
-      const int x1 = std::min(bx_ - 1, bucket_of(b.xhi - 1, extent_.xlo));
-      const int y1 = std::min(by_ - 1, bucket_of(b.yhi - 1, extent_.ylo));
-      for (int by = y0; by <= y1; ++by) {
-        for (int bx = x0; bx <= x1; ++bx) {
+      if (bboxes_[i].empty()) continue;
+      const BucketRange b =
+          bucket_range(bboxes_[i], extent_, bucket_nm_, bx_, by_);
+      for (int by = b.y0; by <= b.y1; ++by) {
+        for (int bx = b.x0; bx <= b.x1; ++bx) {
           buckets_[static_cast<std::size_t>(by) * static_cast<std::size_t>(bx_) +
                    static_cast<std::size_t>(bx)]
               .push_back(i);
@@ -701,12 +646,9 @@ class InstanceGrid {
       std::fill(scratch.stamp.begin(), scratch.stamp.end(), 0);
       scratch.value = 1;
     }
-    const int x0 = std::max(0, bucket_of(window.xlo, extent_.xlo));
-    const int y0 = std::max(0, bucket_of(window.ylo, extent_.ylo));
-    const int x1 = std::min(bx_ - 1, bucket_of(window.xhi - 1, extent_.xlo));
-    const int y1 = std::min(by_ - 1, bucket_of(window.yhi - 1, extent_.ylo));
-    for (int by = y0; by <= y1; ++by) {
-      for (int bx = x0; bx <= x1; ++bx) {
+    const BucketRange b = bucket_range(window, extent_, bucket_nm_, bx_, by_);
+    for (int by = b.y0; by <= b.y1; ++by) {
+      for (int bx = b.x0; bx <= b.x1; ++bx) {
         for (const std::uint32_t i :
              buckets_[static_cast<std::size_t>(by) *
                           static_cast<std::size_t>(bx_) +
@@ -721,15 +663,6 @@ class InstanceGrid {
   }
 
  private:
-  /// floor_div in int64: the window minus the extent origin can exceed the
-  /// Coord range when a window near one edge probes buckets near the other.
-  int bucket_of(geom::Coord v, geom::Coord origin) const {
-    const std::int64_t d = static_cast<std::int64_t>(v) - origin;
-    std::int64_t q = d / bucket_nm_;
-    if (d % bucket_nm_ != 0 && d < 0) --q;  // bucket_nm_ > 0
-    return static_cast<int>(q);
-  }
-
   geom::Rect extent_;
   geom::Coord bucket_nm_ = 0;
   std::size_t count_ = 0;
@@ -752,15 +685,14 @@ class HierWorker {
   HierWorker(const std::vector<ChipIndex>& cells,
              const std::vector<Visit>& visits, const InstanceGrid& grid,
              ReplayCache& replay, const Detector& det, ScoreCache& cache,
-             ShardAccum& acc, const ScanConfig& config)
+             std::size_t batch, ShardAccum& acc, const ScanConfig& config)
       : cells_(cells),
         visits_(visits),
         grid_(grid),
         replay_(replay),
         acc_(acc),
         skip_empty_(config.skip_empty),
-        threshold_(det.threshold()),
-        scorer_(det, cache, acc, config.window_nm, config.batch,
+        scorer_(nullptr, det, cache, acc, config.window_nm, batch,
                 [this](std::size_t tag, float score) {
                   commit_entry(pending_keys_[tag], {false, score});
                   pending_refs_.erase(pending_keys_[tag]);
@@ -828,7 +760,7 @@ class HierWorker {
   }
 
   void flush() {
-    scorer_.finish(threshold_);
+    scorer_.finish();
     pending_keys_.clear();
     pending_refs_.clear();  // hooks already emptied it; keep the invariant
   }
@@ -870,7 +802,6 @@ class HierWorker {
   ReplayCache& replay_;
   ShardAccum& acc_;
   bool skip_empty_ = true;
-  float threshold_ = 0.0f;
   DedupScorer scorer_;
   std::vector<ChipIndex::QueryScratch> cell_scratch_;  ///< one per cell
   InstanceGrid::Scratch grid_scratch_;
@@ -887,19 +818,6 @@ class HierWorker {
 
 }  // namespace
 
-namespace {
-
-/// The scan's ScoreCache: the caller-shared one when provided (dedup
-/// path), otherwise a scan-private cache materialized into `owned`.
-ScoreCache& select_cache(const ScanConfig& config, std::size_t capacity,
-                         std::optional<ScoreCache>& owned) {
-  if (config.cache != nullptr) return *config.cache;
-  owned.emplace(capacity);
-  return *owned;
-}
-
-}  // namespace
-
 ScanResult scan_chip(const ChipIndex& chip, const Detector& detector,
                      const ScanConfig& config) {
   return scan_chip(chip, detector, config, ThreadPool::global());
@@ -907,26 +825,7 @@ ScanResult scan_chip(const ChipIndex& chip, const Detector& detector,
 
 ScanResult scan_chip(const ChipIndex& chip, const Detector& detector,
                      const ScanConfig& config, ThreadPool& pool) {
-  LHD_CHECK(!config.hierarchical,
-            "scan_chip scans a flattened index; the hierarchical path needs "
-            "the GDS structure tree - call scan_library()");
-  if (!config.dedup) {
-    return scan_flat(chip, config, pool, [&](ShardAccum& acc) {
-      return DirectSink{detector, config.window_nm, acc};
-    });
-  }
-  std::optional<ScoreCache> owned;
-  ScoreCache& cache = select_cache(config, config.cache_capacity, owned);
-  const ScoreCache::Stats before = cache.stats();
-  std::uint64_t alias_hits = 0;
-  ScanResult result = scan_flat(
-      chip, config, pool,
-      [&](ShardAccum& acc) {
-        return DedupSink(detector, cache, acc, config);
-      },
-      &alias_hits);
-  attach_cache_stats(result, cache, before, alias_hits);
-  return result;
+  return scan_flat(chip, nullptr, detector, config, pool);
 }
 
 ScanResult scan_chip_two_stage(const ChipIndex& chip,
@@ -941,26 +840,7 @@ ScanResult scan_chip_two_stage(const ChipIndex& chip,
                                const Detector& prefilter,
                                const Detector& refiner,
                                const ScanConfig& config, ThreadPool& pool) {
-  LHD_CHECK(!config.hierarchical,
-            "scan_chip_two_stage scans a flattened index; the hierarchical "
-            "path needs the GDS structure tree - call scan_library()");
-  if (!config.dedup) {
-    return scan_flat(chip, config, pool, [&](ShardAccum& acc) {
-      return TwoStageSink{prefilter, refiner, config.window_nm, acc};
-    });
-  }
-  std::optional<ScoreCache> owned;
-  ScoreCache& cache = select_cache(config, config.cache_capacity, owned);
-  const ScoreCache::Stats before = cache.stats();
-  std::uint64_t alias_hits = 0;
-  ScanResult result = scan_flat(
-      chip, config, pool,
-      [&](ShardAccum& acc) {
-        return TwoStageDedupSink(prefilter, refiner, cache, acc, config);
-      },
-      &alias_hits);
-  attach_cache_stats(result, cache, before, alias_hits);
-  return result;
+  return scan_flat(chip, &prefilter, refiner, config, pool);
 }
 
 ScanResult scan_library(const gds::Library& lib, const std::string& top,
@@ -1017,24 +897,12 @@ ScanResult scan_library(const gds::Library& lib, const std::string& top,
       visits, extent,
       std::max<geom::Coord>(config.window_nm, geom::Coord{2048}));
   ReplayCache replay;
-  std::optional<ScoreCache> owned;
-  // With dedup off, a private capacity-0 cache keeps the scorer flow valid
-  // while memoizing nothing: replay still collapses repeated keys, but
-  // distinct keys with identical content are scored independently,
-  // mirroring the flattened non-dedup contract.
-  ScoreCache& cache = config.dedup
-                          ? select_cache(config, config.cache_capacity, owned)
-                          : (owned.emplace(0), *owned);
-  const ScoreCache::Stats before = cache.stats();
-  std::uint64_t alias_hits = 0;
   ScanResult result = grid_scan(
       extent, config, pool,
-      [&](ShardAccum& acc) {
-        return HierWorker(cells, visits, grid, replay, detector, cache, acc,
-                          config);
-      },
-      &alias_hits);
-  if (config.dedup) attach_cache_stats(result, cache, before, alias_hits);
+      [&](ShardAccum& acc, ScoreCache& cache, std::size_t batch) {
+        return HierWorker(cells, visits, grid, replay, detector, cache, batch,
+                          acc, config);
+      });
   result.instances = visits.size();
   result.distinct_cells = static_cast<std::size_t>(
       std::count(cell_used.begin(), cell_used.end(), char{1}));

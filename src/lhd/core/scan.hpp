@@ -9,19 +9,20 @@
 /// results are merged in row-major window order, so the hit list is
 /// bit-identical for every thread count (ScanConfig::threads).
 ///
-/// Real layouts repeat the same local pattern across the chip, so the scan
-/// can optionally deduplicate (ScanConfig::dedup): each window's geometry
-/// is canonicalized (data/clip_hash.hpp), looked up in a scan-wide
-/// ScoreCache shared by all shards, and only cache misses reach the
-/// detector — batched through Detector::score_batch(). The dedup path
-/// scores the *canonical* clip, so a pattern's score does not depend on
-/// which occurrence or shard computed it: results are deterministic across
-/// thread counts, cache capacities, and batch sizes, and identical to the
-/// naive path whenever the detector's score is invariant under rect order
-/// and whole-pattern translation (asserted by the dedup parity property
-/// test). windows_classified becomes the number of *detector invocations*,
-/// which a shared cache makes schedule-dependent — it is the one ScanResult
-/// count that may differ run to run when dedup is on.
+/// Every scan runs one scorer. Each window's geometry is keyed exactly
+/// (data/clip_hash.hpp: the window-local rects, sorted, plus window_nm),
+/// looked up in a scan-wide ScoreCache shared by all shards, and only
+/// cache misses reach the detector, batched through
+/// Detector::score_batch(). The key is the window's own clip, so a memoized
+/// score is the score of the window as it sits, for every detector: the
+/// hit list is identical to scoring each window on its own (the testkit
+/// naive_scan oracle) across thread counts, cache capacities and batch
+/// sizes. ScanConfig::dedup only chooses the cache: off is a private
+/// capacity-0 cache with a batch of 1 (every window scored once, in scan
+/// order), on is a memo of cache_capacity entries with ScanConfig::batch.
+/// With dedup on, windows_classified becomes the number of *detector
+/// invocations*, which a shared cache makes schedule-dependent — it is the
+/// one ScanResult count that may differ run to run.
 ///
 /// Real layouts are also *hierarchical* (SREF/AREF forests), so flattening
 /// pays O(flattened area) before the dedup cache can rediscover the
@@ -35,10 +36,8 @@
 /// content is a pure function of that key, so interior windows of repeated
 /// cells replay a memoized score instead of re-extracting geometry;
 /// detector work shrinks to O(distinct geometry + stitch bands where
-/// instances abut or overlap). The hit list stays bit-identical to the
-/// flattened scan (asserted by the hierarchical parity property) under the
-/// same precondition as dedup: the detector's score must be invariant
-/// under rect order and whole-pattern translation.
+/// instances abut or overlap). The hit list stays identical to the
+/// flattened scan (asserted by the hierarchical parity property).
 ///
 /// Thread-safety: ChipIndex is immutable after construction and all its
 /// methods are const; concurrent query() calls are race-free as long as
@@ -137,28 +136,28 @@ struct ScanConfig {
   /// hardware thread, N = shard the window grid N ways. Results are
   /// bit-identical across thread counts.
   std::size_t threads = 1;
-  /// Deduplicate windows by canonical geometry: classify each distinct
-  /// pattern once (per cache lifetime) instead of once per occurrence. Off
-  /// by default — the naive path stays the reference the dedup path is
-  /// checked against.
+  /// Memoize window scores by exact geometry: classify each distinct
+  /// window clip once (per cache lifetime) instead of once per occurrence.
+  /// Off by default: every window is then scored on its own, through a
+  /// capacity-0 cache with a batch of 1. The hit list is the same either
+  /// way.
   bool dedup = false;
   /// Total ScoreCache entry bound when dedup is on. 0 keeps dedup's
-  /// batching/canonicalization flow but disables memoization entirely
-  /// (every window misses) — useful for isolating cache effects.
+  /// batching flow but disables memoization entirely (every window
+  /// misses) — useful for isolating cache effects.
   std::size_t cache_capacity = 1 << 16;
   /// Cache misses per shard accumulated before one batched
-  /// Detector::score_batch() call (dedup path only; clamped to >= 1).
+  /// Detector::score_batch() call when dedup is on (clamped to >= 1; dedup
+  /// off always scores one window at a time).
   std::size_t batch = 32;
   /// Scan the GDS hierarchy instead of a flattened layer: index each
   /// distinct cell once and replay memoized window scores per instance
   /// (scan_library() only — scan_chip* has no hierarchy to exploit and
-  /// rejects the flag). Hit lists are bit-identical to the flattened scan
-  /// whenever the detector's score is invariant under rect order and
-  /// whole-pattern translation (the dedup precondition; asserted by the
-  /// hierarchical parity property).
+  /// rejects the flag). Hit lists are identical to the flattened scan
+  /// (asserted by the hierarchical parity property).
   bool hierarchical = false;
-  /// Optional caller-owned ScoreCache shared across scans (dedup path;
-  /// ignored when dedup is off). nullptr — the default — gives each scan a
+  /// Optional caller-owned ScoreCache shared across scans when dedup is on
+  /// (ignored when it is off). nullptr — the default — gives each scan a
   /// private cache of cache_capacity entries. A shared cache keeps its
   /// memos across scans; each scan's ScanResult still reports *per-scan*
   /// hit/miss/eviction deltas (Stats snapshot taken at scan start). Share
@@ -195,29 +194,31 @@ struct ScanResult {
   std::size_t windows_classified = 0;
   std::size_t flagged = 0;
   double seconds = 0.0;
-  /// Dedup only: windows served without a detector invocation — from a
-  /// committed ScoreCache memo or from a pattern pending in the same
-  /// batch. hits + misses == one probe per deduped window (under
-  /// `hierarchical`, replayed windows skip the probe, so only gathered
-  /// windows count).
+  /// Windows served without a detector invocation — from a committed
+  /// ScoreCache memo or from a clip pending in the same batch. hits +
+  /// misses == one probe per scored window (under `hierarchical`,
+  /// replayed windows skip the probe, so only gathered windows count).
+  /// With dedup off the cache has capacity 0, so hits are 0.
   std::uint64_t cache_hits = 0;
-  /// Dedup only: windows that forced a detector invocation (first
-  /// occurrence of a pattern, capacity-0 re-scores, hash-collision
-  /// overflow).
+  /// Windows that forced a detector invocation (first occurrence of a
+  /// clip, capacity-0 re-scores, hash-collision overflow).
   std::uint64_t cache_misses = 0;
-  std::uint64_t cache_evictions = 0;  ///< dedup only: ScoreCache evictions
-  /// Hierarchical only: windows served by replay — an identical replay key
-  /// was already memoized (shard-local or scan-wide) or still pending in
-  /// the current batch — so no geometry extraction, canonicalization, or
-  /// detector work happened for them.
+  std::uint64_t cache_evictions = 0;  ///< ScoreCache evictions
+  /// Windows served by replay (0 on a flattened scan) — an identical
+  /// replay key was already memoized (shard-local or scan-wide) or still
+  /// pending in the current batch — so no geometry extraction, memo-key
+  /// build, or detector work happened for them.
   std::uint64_t replay_hits = 0;
-  /// Hierarchical only: windows overlapping two or more instance bboxes —
-  /// the halo/stitch bands where instances abut or overlap loose geometry.
+  /// Windows overlapping two or more instance bboxes (0 on a flattened
+  /// scan) — the halo/stitch bands where instances abut or overlap loose
+  /// geometry.
   /// These windows' keys repeat only if the *combination* repeats, so they
   /// bound the fresh-geometry work the hierarchy cannot elide.
   std::uint64_t stitch_windows = 0;
-  std::size_t instances = 0;       ///< hierarchical only: placements scanned
-  std::size_t distinct_cells = 0;  ///< hierarchical only: distinct structures
+  /// Placements scanned and distinct structures among them (0 on a
+  /// flattened scan).
+  std::size_t instances = 0;
+  std::size_t distinct_cells = 0;
   std::vector<ScanHit> hits;
   /// One entry per shard, in shard (row-major) order; size() is the shard
   /// count actually used. Timing fields vary run to run; window counts are
@@ -237,8 +238,10 @@ ScanResult scan_chip(const ChipIndex& chip, const Detector& detector,
 ScanResult scan_chip(const ChipIndex& chip, const Detector& detector,
                      const ScanConfig& config, ThreadPool& pool);
 
-/// Two-stage scan: `prefilter` proposes candidate windows (its alarms),
-/// `refiner` classifies only those.
+/// Two-stage scan: `prefilter` proposes candidate windows (its alarms,
+/// predict() on each window as it sits), `refiner` classifies only those
+/// through the same memo and batching as scan_chip. windows_classified
+/// counts refiner work only.
 ScanResult scan_chip_two_stage(const ChipIndex& chip,
                                const Detector& prefilter,
                                const Detector& refiner,
@@ -255,9 +258,8 @@ ScanResult scan_chip_two_stage(const ChipIndex& chip,
 /// and per-window scores replay across repeated placements (see the @file
 /// notes); windows_classified shrinks to O(distinct geometry + stitch
 /// bands) detector invocations. Without the flag this is a convenience
-/// wrapper over ChipIndex::from_library + scan_chip — the reference the
-/// parity property compares against. The grid, window order, and merged
-/// hit list match the flattened scan exactly.
+/// wrapper over ChipIndex::from_library + scan_chip. The grid, window
+/// order, and merged hit list match the flattened scan exactly.
 ScanResult scan_library(const gds::Library& lib, const std::string& top,
                         std::int16_t layer, const Detector& detector,
                         const ScanConfig& config);

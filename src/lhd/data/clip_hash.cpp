@@ -1,7 +1,6 @@
 #include "lhd/data/clip_hash.hpp"
 
 #include <algorithm>
-#include <limits>
 
 namespace lhd::data {
 
@@ -34,16 +33,7 @@ CanonicalClip canonical_clip(std::vector<geom::Rect> rects,
   CanonicalClip canon;
   canon.window_nm = window_nm;
   canon.rects = std::move(rects);
-  if (!canon.rects.empty()) {
-    geom::Coord min_x = std::numeric_limits<geom::Coord>::max();
-    geom::Coord min_y = std::numeric_limits<geom::Coord>::max();
-    for (const auto& r : canon.rects) {
-      min_x = std::min(min_x, r.xlo);
-      min_y = std::min(min_y, r.ylo);
-    }
-    for (auto& r : canon.rects) r = r.shifted(-min_x, -min_y);
-    std::sort(canon.rects.begin(), canon.rects.end(), rect_less);
-  }
+  std::sort(canon.rects.begin(), canon.rects.end(), rect_less);
   return canon;
 }
 

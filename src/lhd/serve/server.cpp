@@ -192,8 +192,8 @@ Response Server::admit_and_run(Op op, std::uint32_t tenant,
 Response Server::do_score(std::uint32_t tenant, const ScoreClip& req) {
   if (req.window_nm <= 0) throw Error("score-clip: window_nm must be > 0");
   // Clip geometry is clip-local by contract ([0, window_nm)^2, see
-  // data::Clip); enforcing it here also bounds every coordinate, so the
-  // canonicalization below cannot overflow on hostile input.
+  // data::Clip); enforcing it here also bounds every coordinate the
+  // detector sees on hostile input.
   for (const auto& r : req.rects) {
     if (r.xlo < 0 || r.ylo < 0 || r.xhi > req.window_nm ||
         r.yhi > req.window_nm) {
@@ -210,8 +210,8 @@ Response Server::do_score(std::uint32_t tenant, const ScoreClip& req) {
     resp.body = ScoreResult{*hit};
     return resp;
   }
-  // Score the *canonical* clip (dedup-scan discipline): the memo must not
-  // depend on which translation of the pattern asked first.
+  // The key is the clip as sent, rect order aside, so scoring it gives
+  // exactly the score of the request (and of every later hit).
   data::Clip clip;
   clip.rects = canon.rects;
   clip.window_nm = canon.window_nm;

@@ -140,41 +140,106 @@ float DensityCutDetector::score(const data::Clip& clip) const {
   return static_cast<float>(area / total);
 }
 
+core::ScanResult naive_scan(const core::ChipIndex& chip,
+                            const core::Detector& detector,
+                            const core::ScanConfig& config,
+                            const core::Detector* prefilter) {
+  LHD_CHECK(config.window_nm > 0 && config.stride_nm > 0, "bad scan config");
+  core::ScanResult result;
+  const geom::Rect& extent = chip.extent();
+  for (geom::Coord y = extent.ylo; y < extent.yhi; y += config.stride_nm) {
+    for (geom::Coord x = extent.xlo; x < extent.xhi; x += config.stride_nm) {
+      const geom::Rect window(x, y, x + config.window_nm,
+                              y + config.window_nm);
+      ++result.windows_total;
+      data::Clip clip;
+      clip.rects = chip.query(window);
+      clip.window_nm = config.window_nm;
+      if (config.skip_empty && clip.rects.empty()) continue;
+      if (prefilter != nullptr && !prefilter->predict(clip)) continue;
+      ++result.windows_classified;
+      const float score = detector.score(clip);
+      if (score > detector.threshold()) {
+        ++result.flagged;
+        result.hits.push_back({window, score});
+      }
+    }
+  }
+  return result;
+}
+
+namespace {
+
+/// Same windows, same flagged count, same hit list (==, window and score)
+/// as the oracle's result; `label` names the scan under test.
+void expect_same_answer(const core::ScanResult& got,
+                        const core::ScanResult& want,
+                        const std::string& label) {
+  std::ostringstream os;
+  os << label << " vs naive_scan: ";
+  if (got.windows_total != want.windows_total ||
+      got.flagged != want.flagged) {
+    os << "window counts diverge (total " << got.windows_total << "/"
+       << want.windows_total << ", flagged " << got.flagged << "/"
+       << want.flagged << ")";
+    oracle_fail(os.str());
+  }
+  if (got.hits.size() != want.hits.size()) {
+    os << "hit count " << got.hits.size() << " vs " << want.hits.size();
+    oracle_fail(os.str());
+  }
+  for (std::size_t i = 0; i < want.hits.size(); ++i) {
+    if (!(got.hits[i] == want.hits[i])) {
+      const auto& g = got.hits[i];
+      const auto& w = want.hits[i];
+      os << "hit " << i << " differs: window (" << g.window.xlo << ","
+         << g.window.ylo << ") score " << g.score << " vs (" << w.window.xlo
+         << "," << w.window.ylo << ") score " << w.score;
+      oracle_fail(os.str());
+    }
+  }
+}
+
+/// Memoized scans may classify fewer windows than the oracle, never more.
+void expect_no_extra_work(const core::ScanResult& got,
+                          const core::ScanResult& want,
+                          const std::string& label) {
+  if (got.windows_classified > want.windows_classified) {
+    std::ostringstream os;
+    os << label << " classified MORE windows than naive_scan ("
+       << got.windows_classified << " vs " << want.windows_classified << ")";
+    oracle_fail(os.str());
+  }
+}
+
+}  // namespace
+
 void expect_scan_parity(const core::ChipIndex& chip,
                         const core::Detector& detector,
                         core::ScanConfig config,
                         const std::vector<std::size_t>& thread_counts,
-                        ThreadPool& pool) {
-  config.threads = 1;
-  const auto serial = core::scan_chip(chip, detector, config);
-  for (const std::size_t threads : thread_counts) {
+                        ThreadPool& pool, const core::Detector* prefilter) {
+  const auto want = naive_scan(chip, detector, config, prefilter);
+  config.dedup = false;
+  std::vector<std::size_t> all_threads = {1};
+  all_threads.insert(all_threads.end(), thread_counts.begin(),
+                     thread_counts.end());
+  for (const std::size_t threads : all_threads) {
     config.threads = threads;
-    const auto parallel = core::scan_chip(chip, detector, config, pool);
-    std::ostringstream os;
-    os << "scan(threads=" << threads << ") vs scan(threads=1): ";
-    if (parallel.windows_total != serial.windows_total ||
-        parallel.windows_classified != serial.windows_classified ||
-        parallel.flagged != serial.flagged) {
-      os << "window counts diverge (total " << parallel.windows_total << "/"
-         << serial.windows_total << ", classified "
-         << parallel.windows_classified << "/" << serial.windows_classified
-         << ", flagged " << parallel.flagged << "/" << serial.flagged << ")";
-      oracle_fail(os.str());
-    }
-    if (parallel.hits.size() != serial.hits.size()) {
-      os << "hit count " << parallel.hits.size() << " vs "
-         << serial.hits.size();
-      oracle_fail(os.str());
-    }
-    for (std::size_t i = 0; i < serial.hits.size(); ++i) {
-      if (!(parallel.hits[i] == serial.hits[i])) {
-        const auto& p = parallel.hits[i];
-        const auto& s = serial.hits[i];
-        os << "hit " << i << " differs: window (" << p.window.xlo << ","
-           << p.window.ylo << ") score " << p.score << " vs (" << s.window.xlo
-           << "," << s.window.ylo << ") score " << s.score;
-        oracle_fail(os.str());
-      }
+    const auto got =
+        prefilter != nullptr
+            ? core::scan_chip_two_stage(chip, *prefilter, detector, config,
+                                        pool)
+            : core::scan_chip(chip, detector, config, pool);
+    std::ostringstream label;
+    label << (prefilter != nullptr ? "two-stage " : "") << "scan(threads="
+          << threads << ")";
+    expect_same_answer(got, want, label.str());
+    // Without a memo every surviving window is scored exactly once.
+    if (got.windows_classified != want.windows_classified) {
+      oracle_fail(label.str() + " classified " +
+                  std::to_string(got.windows_classified) + " windows, " +
+                  "naive_scan " + std::to_string(want.windows_classified));
     }
   }
 }
@@ -186,9 +251,7 @@ void expect_dedup_scan_parity(const core::ChipIndex& chip,
                               const std::vector<std::size_t>& cache_capacities,
                               const std::vector<std::size_t>& batch_sizes,
                               ThreadPool& pool) {
-  config.dedup = false;
-  config.threads = 1;
-  const auto naive = core::scan_chip(chip, detector, config);
+  const auto want = naive_scan(chip, detector, config);
   config.dedup = true;
   for (const std::size_t threads : thread_counts) {
     for (const std::size_t capacity : cache_capacities) {
@@ -196,39 +259,12 @@ void expect_dedup_scan_parity(const core::ChipIndex& chip,
         config.threads = threads;
         config.cache_capacity = capacity;
         config.batch = batch;
-        const auto dedup = core::scan_chip(chip, detector, config, pool);
-        std::ostringstream os;
-        os << "dedup scan(threads=" << threads << ", capacity=" << capacity
-           << ", batch=" << batch << ") vs naive scan: ";
-        if (dedup.windows_total != naive.windows_total ||
-            dedup.flagged != naive.flagged) {
-          os << "window counts diverge (total " << dedup.windows_total << "/"
-             << naive.windows_total << ", flagged " << dedup.flagged << "/"
-             << naive.flagged << ")";
-          oracle_fail(os.str());
-        }
-        if (dedup.windows_classified > naive.windows_classified) {
-          os << "dedup classified MORE windows than naive ("
-             << dedup.windows_classified << " vs "
-             << naive.windows_classified << ")";
-          oracle_fail(os.str());
-        }
-        if (dedup.hits.size() != naive.hits.size()) {
-          os << "hit count " << dedup.hits.size() << " vs "
-             << naive.hits.size();
-          oracle_fail(os.str());
-        }
-        for (std::size_t i = 0; i < naive.hits.size(); ++i) {
-          if (!(dedup.hits[i] == naive.hits[i])) {
-            const auto& d = dedup.hits[i];
-            const auto& n = naive.hits[i];
-            os << "hit " << i << " differs: window (" << d.window.xlo << ","
-               << d.window.ylo << ") score " << d.score << " vs ("
-               << n.window.xlo << "," << n.window.ylo << ") score "
-               << n.score;
-            oracle_fail(os.str());
-          }
-        }
+        const auto got = core::scan_chip(chip, detector, config, pool);
+        std::ostringstream label;
+        label << "dedup scan(threads=" << threads << ", capacity="
+              << capacity << ", batch=" << batch << ")";
+        expect_same_answer(got, want, label.str());
+        expect_no_extra_work(got, want, label.str());
       }
     }
   }
@@ -238,49 +274,20 @@ void expect_hierarchical_scan_parity(
     const gds::Library& lib, const std::string& top, std::int16_t layer,
     const core::Detector& detector, core::ScanConfig config,
     const std::vector<std::size_t>& thread_counts, ThreadPool& pool) {
-  config.hierarchical = false;
-  config.dedup = false;
-  config.threads = 1;
-  const auto chip = core::ChipIndex::from_library(lib, top, layer);
-  const auto naive = core::scan_chip(chip, detector, config);
+  const auto want = naive_scan(core::ChipIndex::from_library(lib, top, layer),
+                               detector, config);
   config.hierarchical = true;
   for (const std::size_t threads : thread_counts) {
     for (const bool dedup : {false, true}) {
       config.threads = threads;
       config.dedup = dedup;
-      const auto hier =
+      const auto got =
           core::scan_library(lib, top, layer, detector, config, pool);
-      std::ostringstream os;
-      os << "hierarchical scan(threads=" << threads << ", dedup=" << dedup
-         << ") vs flattened naive scan: ";
-      if (hier.windows_total != naive.windows_total ||
-          hier.flagged != naive.flagged) {
-        os << "window counts diverge (total " << hier.windows_total << "/"
-           << naive.windows_total << ", flagged " << hier.flagged << "/"
-           << naive.flagged << ")";
-        oracle_fail(os.str());
-      }
-      if (hier.windows_classified > naive.windows_classified) {
-        os << "hierarchical scan classified MORE windows than naive ("
-           << hier.windows_classified << " vs " << naive.windows_classified
-           << ")";
-        oracle_fail(os.str());
-      }
-      if (hier.hits.size() != naive.hits.size()) {
-        os << "hit count " << hier.hits.size() << " vs "
-           << naive.hits.size();
-        oracle_fail(os.str());
-      }
-      for (std::size_t i = 0; i < naive.hits.size(); ++i) {
-        if (!(hier.hits[i] == naive.hits[i])) {
-          const auto& h = hier.hits[i];
-          const auto& n = naive.hits[i];
-          os << "hit " << i << " differs: window (" << h.window.xlo << ","
-             << h.window.ylo << ") score " << h.score << " vs ("
-             << n.window.xlo << "," << n.window.ylo << ") score " << n.score;
-          oracle_fail(os.str());
-        }
-      }
+      std::ostringstream label;
+      label << "hierarchical scan(threads=" << threads << ", dedup=" << dedup
+            << ")";
+      expect_same_answer(got, want, label.str());
+      expect_no_extra_work(got, want, label.str());
     }
   }
 }

@@ -64,25 +64,37 @@ class DensityCutDetector : public core::Detector {
   float threshold_;
 };
 
-/// Serial-vs-parallel scan equality: runs scan_chip with threads=1 as the
-/// baseline and requires bit-identical hits / window counts for every
-/// entry of `thread_counts` on the given pool.
+/// The scan's definition, one window at a time: the oracle every
+/// scan-parity property compares against. Walks the row-major window grid
+/// over chip.extent() (config.window_nm, config.stride_nm), queries each
+/// window, skips empty ones when config.skip_empty, and scores the
+/// window's own clip, exactly as it sits, with detector.score(). With a
+/// prefilter, a window reaches detector.score() only if
+/// prefilter->predict() accepts it (the two-stage scan). Fills
+/// windows_total, windows_classified, flagged and hits; ignores threads,
+/// dedup, the cache and batch.
+core::ScanResult naive_scan(const core::ChipIndex& chip,
+                            const core::Detector& detector,
+                            const core::ScanConfig& config,
+                            const core::Detector* prefilter = nullptr);
+
+/// Plain-scan equality: scan_chip (or scan_chip_two_stage when
+/// `prefilter` is set) with dedup off, at threads=1 and at every entry of
+/// `thread_counts` on the given pool, must give naive_scan's hits (==),
+/// flagged, windows_total and windows_classified.
 void expect_scan_parity(const core::ChipIndex& chip,
                         const core::Detector& detector,
                         core::ScanConfig config,
                         const std::vector<std::size_t>& thread_counts,
-                        ThreadPool& pool);
+                        ThreadPool& pool,
+                        const core::Detector* prefilter = nullptr);
 
-/// Dedup-vs-naive scan equality: runs the naive scan (dedup off,
-/// threads=1) as the baseline, then requires identical hits / flagged /
-/// windows_total from the dedup scan across every (thread count, cache
-/// capacity, batch size) combination. Requires a detector whose score is
-/// invariant under rect order and whole-pattern translation
-/// (DensityCutDetector is) — that is the precondition under which dedup
-/// promises bit-identical results. windows_classified is deliberately NOT
+/// Dedup-scan equality: across every (thread count, cache capacity, batch
+/// size) combination the dedup scan must give naive_scan's hits (==),
+/// flagged and windows_total, for any detector — the memo key is the
+/// window's exact geometry. windows_classified is deliberately NOT
 /// compared: with a shared cache it counts unique misses, which is
-/// schedule-dependent; instead it is checked to never exceed the naive
-/// count.
+/// schedule-dependent; instead it must never exceed naive_scan's.
 void expect_dedup_scan_parity(const core::ChipIndex& chip,
                               const core::Detector& detector,
                               core::ScanConfig config,
@@ -91,15 +103,12 @@ void expect_dedup_scan_parity(const core::ChipIndex& chip,
                               const std::vector<std::size_t>& batch_sizes,
                               ThreadPool& pool);
 
-/// Hierarchical-vs-flattened scan equality: flattens `top`/`layer` once
-/// and runs the naive scan (threads=1, dedup off) as the baseline, then
-/// requires bit-identical hits / flagged / windows_total from the
-/// hierarchical scan (scan_library with ScanConfig::hierarchical) across
-/// every (thread count, dedup on/off) combination. Same detector
-/// precondition as dedup parity: the score must be invariant under rect
-/// order and whole-pattern translation (DensityCutDetector is).
-/// windows_classified — detector invocations — must never exceed the
-/// naive count: replay plus dedup can only shrink the detector work.
+/// Hierarchical-scan equality: naive_scan over the flattened `top`/`layer`
+/// is the answer; scan_library with ScanConfig::hierarchical must give its
+/// hits (==), flagged and windows_total across every (thread count, dedup
+/// on/off) combination, for any detector. windows_classified (detector
+/// invocations) must never exceed naive_scan's: replay plus dedup can only
+/// shrink the detector work.
 void expect_hierarchical_scan_parity(
     const gds::Library& lib, const std::string& top, std::int16_t layer,
     const core::Detector& detector, core::ScanConfig config,

@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <atomic>
 #include <filesystem>
+#include <fstream>
 #include <limits>
 #include <sstream>
 #include <thread>
@@ -21,6 +22,7 @@
 #include "lhd/data/clip_hash.hpp"
 #include "lhd/gds/model.hpp"
 #include "lhd/ml/naive_bayes.hpp"
+#include "lhd/obs/json.hpp"
 #include "lhd/synth/chip_gen.hpp"
 #include "lhd/testkit/testkit.hpp"
 #include "lhd/util/thread_pool.hpp"
@@ -349,6 +351,26 @@ TEST(ChipIndex, OutOfExtentWindowsReturnNothing) {
   EXPECT_EQ(got[0], Rect(400, 400, 800, 800));  // window-local coordinates
 }
 
+TEST(ChipIndex, ExtentWiderThanCoordRangeIndexesBothEdges) {
+  // Regression: bucket math ran in 32-bit Coord, so an extent from -2^30
+  // to 2^30 (both ends accepted by the GDS reader) read its width as -2^31
+  // and every bucket offset past 2^31 wrapped negative. The right-hand
+  // rect then sat in no bucket and its window queried empty.
+  constexpr geom::Coord kEdge = geom::Coord{1} << 30;
+  const ChipIndex index({Rect(-kEdge, 0, -kEdge + 100, 100),
+                         Rect(kEdge - 100, 0, kEdge, 100)},
+                        /*bucket_nm=*/geom::Coord{1} << 20);
+  EXPECT_EQ(index.extent().xlo, -kEdge);
+  EXPECT_EQ(index.extent().xhi, kEdge);
+  const auto left = index.query(Rect(-kEdge, 0, -kEdge + 1024, 1024));
+  ASSERT_EQ(left.size(), 1u);
+  EXPECT_EQ(left[0], Rect(0, 0, 100, 100));
+  const auto right = index.query(Rect(kEdge - 1024, 0, kEdge, 1024));
+  ASSERT_EQ(right.size(), 1u);
+  EXPECT_EQ(right[0], Rect(924, 0, 1024, 100));
+  EXPECT_TRUE(index.query(Rect(-512, 0, 512, 1024)).empty());
+}
+
 TEST(ChipIndex, ConcurrentQueriesWithOwnScratchMatchSerial) {
   CHECK_PROPERTY("chip-index-concurrent", 4, [](Rng& rng, std::size_t) {
     const auto rects = testkit::random_rects(rng, 300, 6300, 20, 300);
@@ -645,14 +667,11 @@ TEST(Scan, DedupScanMatchesNaive) {
   synth::StyleConfig style;
   const auto lib = synth::build_chip(style, 4, 4, 41);
   const auto index = ChipIndex::from_library(lib, "TOP", synth::kChipLayer);
-  // Density score: invariant under rect order and whole-pattern
-  // translation, i.e. exactly the precondition under which the dedup path
-  // promises bit-identical results.
   const ThresholdedDensityDetector det(0.05f);
   ScanConfig cfg;
   cfg.window_nm = 1024;
   cfg.stride_nm = 512;
-  const auto naive = scan_chip(index, det, cfg);
+  const auto naive = testkit::naive_scan(index, det, cfg);
   cfg.dedup = true;
   const auto dedup = scan_chip(index, det, cfg);
   EXPECT_EQ(dedup.windows_total, naive.windows_total);
@@ -698,7 +717,7 @@ TEST(Scan, DedupTwoStageMatchesNaive) {
   ScanConfig cfg;
   cfg.window_nm = 1024;
   cfg.stride_nm = 512;
-  const auto naive = scan_chip_two_stage(index, prefilter, refiner, cfg);
+  const auto naive = testkit::naive_scan(index, refiner, cfg, &prefilter);
   cfg.dedup = true;
   const auto dedup = scan_chip_two_stage(index, prefilter, refiner, cfg);
   EXPECT_EQ(dedup.windows_total, naive.windows_total);
@@ -731,7 +750,7 @@ TEST(Scan, DedupCapacityZeroAndBatchOneStillMatch) {
 
 TEST(Scan, DedupClassifiesRepeatedPatternOnce) {
   // A 4x4 grid of identical tiles, windows aligned to the tile pitch:
-  // every window sees the same pattern up to translation.
+  // every window sees the same window-local clip.
   std::vector<Rect> rects;
   for (int i = 0; i < 4; ++i) {
     for (int j = 0; j < 4; ++j) {
@@ -958,6 +977,50 @@ TEST(HierScan, EmptyLayerScansZeroWindows) {
   EXPECT_EQ(result.windows_total, 0u);
   EXPECT_EQ(result.instances, 0u);
   EXPECT_TRUE(result.hits.empty());
+}
+
+// ------------------------------------------------------ counter baseline --
+
+obs::Json scan_counts(const ScanResult& r) {
+  obs::Json j = obs::Json::object();
+  j["windows_total"] = r.windows_total;
+  j["flagged"] = r.flagged;
+  j["windows_classified"] = r.windows_classified;
+  j["cache_probes"] = r.cache_hits + r.cache_misses;
+  j["replay_hits"] = r.replay_hits;
+  j["stitch_windows"] = r.stitch_windows;
+  return j;
+}
+
+TEST(ScanCounts, MatchCommittedBaseline) {
+  // One small fixed scan in each mode, counters compared exactly against
+  // tests/fixtures/scan_counts.json (timing stays out). A change to what a
+  // scan does — its windows, its memo key, its answers — fails here until
+  // the baseline is regenerated, so the change shows up as a reviewed diff.
+  const auto lib = synth::build_chip(synth::StyleConfig{}, 4, 4, 61,
+                                     /*tile_variants=*/4);
+  const auto index = ChipIndex::from_library(lib, "TOP", synth::kChipLayer);
+  const testkit::DensityCutDetector det(0.30f);
+  ScanConfig cfg;
+  cfg.window_nm = 1024;
+  cfg.stride_nm = 512;
+  cfg.threads = 1;  // one shard: invocation counts are deterministic
+  obs::Json got = obs::Json::object();
+  got["plain"] = scan_counts(scan_chip(index, det, cfg));
+  cfg.dedup = true;
+  got["dedup"] = scan_counts(scan_chip(index, det, cfg));
+  cfg.hierarchical = true;
+  got["hierarchical"] = scan_counts(
+      scan_library(lib, "TOP", synth::kChipLayer, det, cfg));
+
+  std::ifstream in(LHD_FIXTURES_DIR "/scan_counts.json");
+  ASSERT_TRUE(in) << "missing tests/fixtures/scan_counts.json";
+  std::stringstream text;
+  text << in.rdbuf();
+  // Compared as documents, so a failure prints both in full; to accept an
+  // intended change, commit the "got" side.
+  EXPECT_EQ(got.dump(), obs::Json::parse(text.str()).dump())
+      << "scan counters differ from tests/fixtures/scan_counts.json";
 }
 
 // ------------------------------------------------------------ score batch --

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <filesystem>
 #include <sstream>
@@ -314,26 +315,36 @@ TEST(DataIo, StreamFailureAtEveryByteThrowsCleanly) {
 
 // -------------------------------------------------------------- clip hash --
 
-TEST(ClipHash, CanonicalFormSitsAtOriginSorted) {
+TEST(ClipHash, CanonicalFormIsWindowLocalSorted) {
+  // The form keeps every rect where it sits in the window and only erases
+  // the list order.
   const auto canon = canonical_clip(
       {Rect(700, 400, 800, 500), Rect(300, 200, 400, 300)}, 1024);
   ASSERT_EQ(canon.rects.size(), 2u);
-  EXPECT_EQ(canon.rects[0], Rect(0, 0, 100, 100));
-  EXPECT_EQ(canon.rects[1], Rect(400, 200, 500, 300));
+  EXPECT_EQ(canon.rects[0], Rect(300, 200, 400, 300));
+  EXPECT_EQ(canon.rects[1], Rect(700, 400, 800, 500));
   EXPECT_EQ(canon.window_nm, 1024);
 }
 
 TEST(ClipHash, TranslationInvariant) {
+  // The memo key must NOT be translation invariant: detectors score
+  // position-dependent features, so a pattern moved inside its window is
+  // a different clip. Permuting the rect list is the only freedom the key
+  // erases.
   const Clip base =
       make_clip({Rect(100, 100, 300, 200), Rect(400, 100, 500, 600)},
                 Label::Hotspot);
-  for (const auto& [dx, dy] : {std::pair(512, 0), std::pair(0, -4096),
-                               std::pair(12345, 6789)}) {
+  for (const auto& [dx, dy] : {std::pair(8, 0), std::pair(0, -64),
+                               std::pair(123, 67)}) {
     Clip moved = base;
     for (auto& r : moved.rects) r = r.shifted(dx, dy);
-    EXPECT_EQ(canonical_clip(moved), canonical_clip(base)) << dx << "," << dy;
-    EXPECT_EQ(clip_hash(moved), clip_hash(base)) << dx << "," << dy;
+    EXPECT_NE(canonical_clip(moved), canonical_clip(base)) << dx << "," << dy;
+    EXPECT_NE(clip_hash(moved), clip_hash(base)) << dx << "," << dy;
   }
+  Clip permuted = base;
+  std::reverse(permuted.rects.begin(), permuted.rects.end());
+  EXPECT_EQ(canonical_clip(permuted), canonical_clip(base));
+  EXPECT_EQ(clip_hash(permuted), clip_hash(base));
 }
 
 TEST(ClipHash, RectOrderInvariant) {
@@ -354,10 +365,14 @@ TEST(ClipHash, MirrorAndRotationAreDistinctPatterns) {
   const Clip base =
       make_clip({Rect(0, 0, 300, 100), Rect(0, 100, 100, 400)},
                 Label::Hotspot);
-  Clip mirrored = base;  // flip x: x -> -x, then canonicalization re-origins
-  for (auto& r : mirrored.rects) r = Rect(-r.xhi, r.ylo, -r.xlo, r.yhi);
-  Clip rotated = base;  // rotate 90°: (x, y) -> (-y, x)
-  for (auto& r : rotated.rects) r = Rect(-r.yhi, r.xlo, -r.ylo, r.xhi);
+  Clip mirrored = base;  // flip x inside the 1024 nm window: x -> 1024 - x
+  for (auto& r : mirrored.rects) {
+    r = Rect(1024 - r.xhi, r.ylo, 1024 - r.xlo, r.yhi);
+  }
+  Clip rotated = base;  // rotate 90° in the window: (x, y) -> (1024 - y, x)
+  for (auto& r : rotated.rects) {
+    r = Rect(1024 - r.yhi, r.xlo, 1024 - r.ylo, r.xhi);
+  }
   EXPECT_NE(canonical_clip(mirrored), canonical_clip(base));
   EXPECT_NE(canonical_clip(rotated), canonical_clip(base));
   EXPECT_NE(clip_hash(mirrored), clip_hash(base));

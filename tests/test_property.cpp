@@ -6,7 +6,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
+#include <string>
 
+#include "lhd/core/cnn_detector.hpp"
 #include "lhd/core/scan.hpp"
 #include "lhd/data/dataset.hpp"
 #include "lhd/feature/dct.hpp"
@@ -23,39 +26,74 @@ namespace {
 using geom::Rect;
 
 // ------------------------------------------------------------ scan parity
+//
+// Every scan mode must give the testkit naive_scan oracle's hit list, ==
+// on window and score, for both a geometry-density detector and a CNN
+// whose DCT features depend on where geometry sits in the window.
+
+/// An untrained CnnDetector with fixed random weights, its threshold at
+/// the median score over the non-empty windows of one fixed random layout,
+/// so a good share of windows are hits.
+const core::CnnDetector& fixed_cnn() {
+  static const std::unique_ptr<core::CnnDetector> cnn = [] {
+    auto det = std::make_unique<core::CnnDetector>("parity-cnn");
+    Rng rng(0xC0FFEE);
+    det->network().init(rng);
+    const core::ChipIndex chip(random_rects(rng, 48, 4096, 16, 900));
+    std::vector<float> scores;
+    for (geom::Coord y = 0; y < 4096; y += 512) {
+      for (geom::Coord x = 0; x < 4096; x += 512) {
+        data::Clip clip;
+        clip.rects = chip.query(Rect(x, y, x + 1024, y + 1024));
+        clip.window_nm = 1024;
+        if (!clip.rects.empty()) scores.push_back(det->score(clip));
+      }
+    }
+    std::sort(scores.begin(), scores.end());
+    det->set_threshold(scores[scores.size() / 2]);
+    return det;
+  }();
+  return *cnn;
+}
+
+core::ScanConfig parity_config(Rng& rng) {
+  core::ScanConfig cfg;
+  cfg.window_nm = 1024;
+  cfg.stride_nm = 512;
+  cfg.skip_empty = rng.next_bool();
+  return cfg;
+}
 
 TEST(Property, ScanParityAcrossThreadCounts) {
   ThreadPool pool(4);
   const DensityCutDetector detector(0.05f);
+  const DensityCutDetector prefilter(0.02f);
   // 64 random layouts; `size` scales the rect soup so shrinking narrows a
-  // failure to the smallest layout that still diverges.
+  // failure to the smallest layout that still diverges. Half the cases
+  // scan two-stage behind a density prefilter. The CNN, ~1000x costlier
+  // per window, scans a quarter-area layout of its own.
   CHECK_PROPERTY("scan-parity", 64, [&](Rng& rng, std::size_t size) {
-    const auto rects = random_rects(rng, 8 + size * 8, 8192, 16, 900);
-    const core::ChipIndex chip(rects);
-    core::ScanConfig cfg;
-    cfg.window_nm = 1024;
-    cfg.stride_nm = 512;
-    cfg.skip_empty = rng.next_bool();
-    expect_scan_parity(chip, detector, cfg, {2, 3, 8}, pool);
+    const core::ChipIndex chip(random_rects(rng, 8 + size * 8, 8192, 16, 900));
+    const core::ChipIndex small(random_rects(rng, 4 + size * 2, 4096, 16, 900));
+    const core::ScanConfig cfg = parity_config(rng);
+    const DensityCutDetector* pre = rng.next_bool() ? &prefilter : nullptr;
+    expect_scan_parity(chip, detector, cfg, {2, 3, 8}, pool, pre);
+    expect_scan_parity(small, fixed_cnn(), cfg, {3}, pool, pre);
   });
 }
 
 TEST(Property, DedupScanParityAcrossThreadsCapacitiesAndBatches) {
   ThreadPool pool(4);
   const DensityCutDetector detector(0.05f);
-  // Density score is invariant under rect order and whole-pattern
-  // translation — the precondition under which the dedup path promises
-  // results bit-identical to the naive scan. Capacity 0 (memoization off)
-  // and 1 (constant thrash) are the eviction edge cases; batch 1 flushes
-  // every miss immediately.
+  // Capacity 0 (memoization off) and 1 (constant thrash) are the eviction
+  // edge cases; batch 1 flushes every miss immediately.
   CHECK_PROPERTY("dedup-scan-parity", 24, [&](Rng& rng, std::size_t size) {
-    const auto rects = random_rects(rng, 8 + size * 8, 8192, 16, 900);
-    const core::ChipIndex chip(rects);
-    core::ScanConfig cfg;
-    cfg.window_nm = 1024;
-    cfg.stride_nm = 512;
-    cfg.skip_empty = rng.next_bool();
+    const core::ChipIndex chip(random_rects(rng, 8 + size * 8, 8192, 16, 900));
+    const core::ChipIndex small(random_rects(rng, 4 + size * 2, 4096, 16, 900));
+    const core::ScanConfig cfg = parity_config(rng);
     expect_dedup_scan_parity(chip, detector, cfg, {1, 2, 8}, {0, 1, 4096},
+                             {1, 32}, pool);
+    expect_dedup_scan_parity(small, fixed_cnn(), cfg, {1, 3}, {1, 4096},
                              {1, 32}, pool);
   });
 }
@@ -66,8 +104,8 @@ TEST(Property, HierarchicalScanParityOnSynthChips) {
   // The synth generator's tile_variants knob is the honest testbed: 0 makes
   // every tile a distinct cell (no reuse — replay degenerates to the
   // stitch bands), 1 makes the chip one repeated cell (maximal reuse), 4
-  // repeats a small macro. Parity must hold bit for bit in all regimes,
-  // across thread counts and dedup on/off (the oracle's inner matrix).
+  // repeats a small macro. Parity must hold in all regimes, across thread
+  // counts and dedup on/off (the oracle's inner matrix).
   CHECK_PROPERTY("hier-scan-parity-synth", 12, [&](Rng& rng,
                                                    std::size_t size) {
     synth::StyleConfig style;
@@ -76,12 +114,11 @@ TEST(Property, HierarchicalScanParityOnSynthChips) {
     const int variants = kVariants[rng.next_below(3)];
     const auto lib = synth::build_chip(style, tiles, tiles,
                                        rng.next_below(1u << 20), variants);
-    core::ScanConfig cfg;
-    cfg.window_nm = 1024;
-    cfg.stride_nm = 512;
-    cfg.skip_empty = rng.next_bool();
+    const core::ScanConfig cfg = parity_config(rng);
     expect_hierarchical_scan_parity(lib, "TOP", synth::kChipLayer, detector,
                                     cfg, {1, 2, 8}, pool);
+    expect_hierarchical_scan_parity(lib, "TOP", synth::kChipLayer,
+                                    fixed_cnn(), cfg, {1, 3}, pool);
   });
 }
 
@@ -105,12 +142,16 @@ TEST(Property, HierarchicalScanParityOnRandomLibraries) {
           random_rect(rng, 8000, 16, 900).shifted(-4000, -4000));
       top->add(b);
     }
-    core::ScanConfig cfg;
-    cfg.window_nm = 1024;
-    cfg.stride_nm = 512;
-    cfg.skip_empty = rng.next_bool();
+    const core::ScanConfig cfg = parity_config(rng);
     expect_hierarchical_scan_parity(lib, "TOP", 1, detector, cfg, {1, 3},
                                     pool);
+    // The CNN runs on the smaller half of the libraries (shrinking keeps
+    // a failing case in that half), which keep every transform and AREF
+    // path but cost a fraction of the CNN windows.
+    if (size <= 24) {
+      expect_hierarchical_scan_parity(lib, "TOP", 1, fixed_cnn(), cfg, {3},
+                                      pool);
+    }
   });
 }
 
@@ -245,6 +286,23 @@ TEST(Property, TranslateThenRasterizeEqualsRasterizeThenShift) {
           throw PropertyFailure(os.str());
         }
       }
+    }
+  });
+}
+
+TEST(Property, RasterizeIsPermutationInvariant) {
+  // The exact memo key sorts a window's rects, so sorting must never
+  // change a score: at the in-tree 8 nm pixel every per-pixel coverage
+  // term is an exact multiple of 1/64 and the saturating sum does not
+  // depend on order, overlapping rects included.
+  CHECK_PROPERTY("raster-permute", 48, [](Rng& rng, std::size_t size) {
+    const geom::Coord window = 1024, pixel = 8;
+    auto rects = random_rects(rng, 2 + size * 2, window, 4, 400);
+    const auto base = geom::rasterize(rects, window, pixel);
+    rng.shuffle(rects);
+    if (!(geom::rasterize(rects, window, pixel) == base)) {
+      throw PropertyFailure("raster changed under a permutation of " +
+                            std::to_string(rects.size()) + " rects");
     }
   });
 }

@@ -22,7 +22,6 @@
 
 #include "lhd/core/cnn_detector.hpp"
 #include "lhd/core/scan.hpp"
-#include "lhd/data/clip_hash.hpp"
 #include "lhd/nn/serialize.hpp"
 #include "lhd/obs/json.hpp"
 #include "lhd/serve/client.hpp"
@@ -170,9 +169,8 @@ Response random_response(Rng& rng, std::size_t size) {
 }
 
 /// Deterministic, thread-safe detector whose score depends only on the
-/// clip's total rect area (translation- and order-invariant — the dedup /
-/// canonicalization precondition), shifted by a per-instance offset so
-/// tests can tell weight "versions" apart.
+/// clip's total rect area, shifted by a per-instance offset so tests can
+/// tell weight "versions" apart.
 class StubDetector final : public core::Detector {
  public:
   explicit StubDetector(float offset = 0.0f) : offset_(offset) {}
@@ -535,22 +533,61 @@ TEST(ServeCorpus, EveryCorpusFileHasARegressionTest) {
 
 // -------------------------------------------------------------- server ----
 
-TEST(ServeServer, ScoreCachesCanonicalFormAcrossTenants) {
-  Server server;
-  server.add_model("default", std::make_shared<StubDetector>());
+/// Detector whose score depends on where the geometry sits in the window
+/// (like the CNN's DCT features), so a memo that shifted clips would
+/// return a wrong score.
+class PositionDetector final : public core::Detector {
+ public:
+  std::string name() const override { return "position"; }
+  void train(const data::Dataset&) override {}
+  float score(const data::Clip& clip) const override {
+    double sum = 0.0;
+    for (const auto& r : clip.rects) sum += r.xlo + 2.0 * r.ylo;
+    return static_cast<float>(sum / clip.window_nm);
+  }
+  bool predict(const data::Clip& clip) const override {
+    return score(clip) > 0.0f;
+  }
+  void set_threshold(float) override {}
+  float threshold() const override { return 0.0f; }
+};
 
-  const auto first = server.handle(score_request({{10, 10, 110, 210}}, 1));
-  ASSERT_TRUE(std::holds_alternative<ScoreResult>(first.body));
-  // Same pattern, translated: canonicalization must hit the cache.
-  const auto second = server.handle(score_request({{500, 300, 600, 500}}, 2));
-  ASSERT_TRUE(std::holds_alternative<ScoreResult>(second.body));
-  EXPECT_EQ(std::get<ScoreResult>(first.body).score,
-            std::get<ScoreResult>(second.body).score);
+float score_of(const Response& resp) {
+  EXPECT_TRUE(std::holds_alternative<ScoreResult>(resp.body));
+  return std::holds_alternative<ScoreResult>(resp.body)
+             ? std::get<ScoreResult>(resp.body).score
+             : 0.0f;
+}
+
+TEST(ServeServer, ScoreCachesCanonicalFormAcrossTenants) {
+  // The cache key is the clip as sent, rect order aside: the same clip
+  // from a second tenant (listed in another order) hits the cache, while a
+  // translated copy misses and is scored on its own geometry.
+  const auto detector = std::make_shared<PositionDetector>();
+  Server server;
+  server.add_model("default", detector);
+
+  const std::vector<Rect> rects = {{10, 10, 110, 210}, {300, 40, 360, 90}};
+  const float first = score_of(server.handle(score_request(rects, 1)));
+  const std::vector<Rect> permuted(rects.rbegin(), rects.rend());
+  const float second = score_of(server.handle(score_request(permuted, 2)));
+  EXPECT_EQ(first, second);
   EXPECT_EQ(server.registry().counter("serve.tenant.1.cache_misses").value(),
             1u);
   EXPECT_EQ(server.registry().counter("serve.tenant.2.cache_hits").value(),
             1u);
-  EXPECT_EQ(server.registry().counter("serve.responses_ok").value(), 2u);
+
+  std::vector<Rect> moved = rects;
+  for (auto& r : moved) r = r.shifted(500, 300);
+  const float third = score_of(server.handle(score_request(moved, 2)));
+  data::Clip want;
+  want.rects = moved;
+  want.window_nm = 1024;
+  EXPECT_EQ(third, detector->score(want));
+  EXPECT_NE(third, first);
+  EXPECT_EQ(server.registry().counter("serve.tenant.2.cache_misses").value(),
+            1u);
+  EXPECT_EQ(server.registry().counter("serve.responses_ok").value(), 3u);
 }
 
 TEST(ServeServer, UnknownModelIsATypedError) {
@@ -659,6 +696,33 @@ TEST(ServeServer, ScanCapsRejectHostileRegions) {
   bad_stride.rects = {{0, 0, 100, 100}};
   EXPECT_NE(error_of(std::move(bad_stride)).find("stride"),
             std::string::npos);
+}
+
+TEST(ServeServer, ScanRegionSpanningTheFullCoordRangeFindsBothEdges) {
+  // Regression: two rects at x = -2^30 and x = 2^30 pass scan-region
+  // validation (coordinates within ±2^30), but the spatial index did its
+  // bucket math in 32 bits and lost the right-hand rect: the scan saw one
+  // non-empty window instead of two.
+  constexpr geom::Coord kEdge = geom::Coord{1} << 30;
+  ServerConfig config;
+  config.max_scan_extent_nm = std::int64_t{1} << 32;
+  Server server(config);
+  server.add_model("default", std::make_shared<StubDetector>());
+  Request req;
+  ScanRegion body;
+  body.window_nm = 1024;
+  body.stride_nm = kEdge - 64;  // windows at -2^30, -64 and 2^30 - 128
+  body.rects = {{-kEdge, 0, -kEdge + 100, 100}, {kEdge - 100, 0, kEdge, 100}};
+  req.body = std::move(body);
+  const auto resp = server.handle(req);
+  ASSERT_TRUE(std::holds_alternative<ScanResultWire>(resp.body))
+      << std::get<ErrorResult>(resp.body).message;
+  const auto& wire = std::get<ScanResultWire>(resp.body);
+  EXPECT_EQ(wire.windows_total, 3u);
+  ASSERT_EQ(wire.hits.size(), 2u);
+  EXPECT_EQ(wire.hits[0].window.xlo, -kEdge);
+  EXPECT_EQ(wire.hits[1].window.xlo, kEdge - 128);
+  EXPECT_EQ(wire.hits[0].score, wire.hits[1].score);  // same area each
 }
 
 TEST(ServeServer, FullQueueAnswersTypedBusy) {
@@ -790,12 +854,10 @@ TEST(ServeServer, CnnWeightReloadIsBitExact) {
 
   const auto rects = std::vector<Rect>{{100, 100, 400, 900},
                                        {600, 200, 900, 800}};
-  // The server scores the canonical form; build the same clip for the
-  // reference score so the comparison is bit-exact.
-  const auto canon = data::canonical_clip(rects, 1024);
+  // The server scores exactly the clip it was sent.
   data::Clip clip;
-  clip.rects = canon.rects;
-  clip.window_nm = canon.window_nm;
+  clip.rects = rects;
+  clip.window_nm = 1024;
 
   Request reload;
   ReloadWeights body;
