@@ -1,8 +1,9 @@
 // Kernel-level micro benchmarks: rasterization, Gaussian imaging, resist
-// thresholding, hotspot-oracle labeling, block DCT, CNN forward/backward,
-// the nn layer forwards, and the blocked GEMM against testkit's reference
-// triple loop (BM_GemmFast vs BM_GemmRef) so its speedup is measured per
-// shape.
+// thresholding, hotspot-oracle labeling, CNN forward/backward, the nn
+// layer forwards, and two production kernels against their testkit
+// references — the block DCT tensor (BM_DctTensor vs BM_DctTensorRef) and
+// the blocked GEMM (BM_GemmFast vs BM_GemmRef, per shape) — so each
+// speedup is measured.
 //
 // Alongside the console output every run lands as one phase in
 // BENCH_micro_kernels.json (obs::RunReport): name, real/CPU ns per
@@ -76,6 +77,9 @@ void BM_OracleLabelClip(benchmark::State& state) {
 }
 BENCHMARK(BM_OracleLabelClip);
 
+/// The 16-channel DCT feature tensor of one 128×128 raster. BM_DctTensor
+/// is the production row-panel kernel, BM_DctTensorRef the testkit
+/// block-at-a-time reference it is bit-identical to.
 void BM_DctTensor(benchmark::State& state) {
   for (auto _ : state) {
     benchmark::DoNotOptimize(
@@ -83,6 +87,14 @@ void BM_DctTensor(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_DctTensor);
+
+void BM_DctTensorRef(benchmark::State& state) {
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        testkit::dct_tensor_reference(sample_mask(), {}));
+  }
+}
+BENCHMARK(BM_DctTensorRef);
 
 void BM_ConnectedComponents(benchmark::State& state) {
   const auto target = geom::binarize(sample_mask(), 0.5f);

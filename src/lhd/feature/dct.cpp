@@ -1,5 +1,6 @@
 #include "lhd/feature/dct.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <map>
 
@@ -131,8 +132,12 @@ DctTensor dct_tensor_from_raster(const geom::FloatImage& raster,
   LHD_CHECK(config.coefficients <= b * b, "more coefficients than block");
   LHD_CHECK_MSG(raster.width() % b == 0 && raster.height() % b == 0,
                 "raster not divisible by block " << b);
-  const int gw = raster.width() / b;
+  const int w = raster.width();
+  const int gw = w / b;
   const int gh = raster.height() / b;
+  const auto zb = static_cast<std::size_t>(b);
+  const auto zw = static_cast<std::size_t>(w);
+  const float* c = dct_matrix(b).data();
   const auto& zz = zigzag_order(b);
 
   DctTensor t;
@@ -142,20 +147,49 @@ DctTensor dct_tensor_from_raster(const geom::FloatImage& raster,
   t.values.assign(
       static_cast<std::size_t>(t.channels) * gh * gw, 0.0f);
 
-  std::vector<float> block(static_cast<std::size_t>(b) * b);
-  std::vector<float> coef(static_cast<std::size_t>(b) * b);
+  // Only the basis rows u < rows reach a kept zig-zag coefficient (u, v).
+  int rows = 0;
+  for (int k = 0; k < t.channels; ++k) {
+    rows = std::max(rows, zz[static_cast<std::size_t>(k)] / b + 1);
+  }
+
+  // Row panel of one band of blocks: tmp[u][x] = Σ_i C[u][i]·X[i][x] over
+  // the full raster width — dct2d's C·X for every block of the band at
+  // once, with each element summed in the same order from 0.0f. The panel
+  // is then regrouped as panel[u][j][gx] = tmp[u][gx·b + j], so the second
+  // product runs across blocks too.
+  const std::size_t panel_size = static_cast<std::size_t>(rows) * zw;
+  std::vector<float> tmp(panel_size), panel(panel_size);
   for (int gy = 0; gy < gh; ++gy) {
-    for (int gx = 0; gx < gw; ++gx) {
-      for (int y = 0; y < b; ++y) {
-        const float* row = raster.row(gy * b + y) + gx * b;
-        for (int x = 0; x < b; ++x) {
-          block[static_cast<std::size_t>(y) * b + x] = row[x];
+    std::fill(tmp.begin(), tmp.end(), 0.0f);
+    for (int u = 0; u < rows; ++u) {
+      float* tu = tmp.data() + static_cast<std::size_t>(u) * zw;
+      for (int i = 0; i < b; ++i) {
+        const float cui = c[static_cast<std::size_t>(u) * zb + i];
+        const float* x = raster.row(gy * b + i);
+        for (int px = 0; px < w; ++px) tu[px] += cui * x[px];
+      }
+      float* pu = panel.data() + static_cast<std::size_t>(u) * zw;
+      for (int gx = 0; gx < gw; ++gx) {
+        for (int j = 0; j < b; ++j) {
+          pu[static_cast<std::size_t>(j) * gw + gx] =
+              tu[static_cast<std::size_t>(gx) * zb + j];
         }
       }
-      dct2d(block.data(), coef.data(), b);
-      for (int c = 0; c < t.channels; ++c) {
-        t.values[(static_cast<std::size_t>(c) * gh + gy) * gw + gx] =
-            coef[static_cast<std::size_t>(zz[static_cast<std::size_t>(c)])];
+    }
+    // Each kept coefficient (u, v) of every block gx of the band: the
+    // (C X)·C^T dot product Σ_j tmp[u][gx·b + j]·C[v][j], as in dct2d,
+    // accumulated in j order into the zero-filled output.
+    for (int k = 0; k < t.channels; ++k) {
+      const int uv = zz[static_cast<std::size_t>(k)];
+      const float* pu = panel.data() + static_cast<std::size_t>(uv / b) * zw;
+      const float* cv = c + static_cast<std::size_t>(uv % b) * zb;
+      float* out = t.values.data() +
+                   (static_cast<std::size_t>(k) * gh + gy) * gw;
+      for (int j = 0; j < b; ++j) {
+        const float cvj = cv[j];
+        const float* pj = pu + static_cast<std::size_t>(j) * gw;
+        for (int gx = 0; gx < gw; ++gx) out[gx] += pj[gx] * cvj;
       }
     }
   }

@@ -44,16 +44,24 @@ class DctExtractor final : public Extractor {
   explicit DctExtractor(DctConfig config) : config_(config) {}
   std::string name() const override { return "dct-tensor"; }
   std::vector<float> extract(const data::Clip& clip) const override {
+    // shape() is fixed per extractor, so a clip of another size would
+    // only fail later, deep in the network, as a row of the wrong size.
+    LHD_CHECK_MSG(clip.window_nm == kWindowNm,
+                  "dct-tensor extractor: clip window_nm " << clip.window_nm
+                      << " does not fit the " << shape()[1] << "x"
+                      << shape()[2] << " block grid of window_nm "
+                      << kWindowNm);
     return dct_tensor(clip, config_).values;
   }
   std::array<int, 3> shape() const override {
-    // All benchmark clips share window_nm = 1024; derive grid from config.
-    const int px = static_cast<int>(1024 / config_.pixel_nm);
+    const int px = static_cast<int>(kWindowNm / config_.pixel_nm);
     const int g = px / config_.block;
     return {config_.coefficients, g, g};
   }
 
  private:
+  /// All benchmark clips share this window; the grid derives from it.
+  static constexpr geom::Coord kWindowNm = 1024;
   DctConfig config_;
 };
 

@@ -133,6 +133,44 @@ void expect_dct_parity(const std::vector<float>& block, int n,
   }
 }
 
+feature::DctTensor dct_tensor_reference(const geom::FloatImage& raster,
+                                        const feature::DctConfig& config) {
+  const int b = config.block;
+  LHD_CHECK(b > 0 && config.coefficients > 0, "bad DCT config");
+  LHD_CHECK(config.coefficients <= b * b, "more coefficients than block");
+  LHD_CHECK_MSG(raster.width() % b == 0 && raster.height() % b == 0,
+                "raster not divisible by block " << b);
+  const int gw = raster.width() / b;
+  const int gh = raster.height() / b;
+  const auto& zz = feature::zigzag_order(b);
+
+  feature::DctTensor t;
+  t.channels = config.coefficients;
+  t.height = gh;
+  t.width = gw;
+  t.values.assign(
+      static_cast<std::size_t>(t.channels) * gh * gw, 0.0f);
+
+  std::vector<float> block(static_cast<std::size_t>(b) * b);
+  std::vector<float> coef(static_cast<std::size_t>(b) * b);
+  for (int gy = 0; gy < gh; ++gy) {
+    for (int gx = 0; gx < gw; ++gx) {
+      for (int y = 0; y < b; ++y) {
+        const float* row = raster.row(gy * b + y) + gx * b;
+        for (int x = 0; x < b; ++x) {
+          block[static_cast<std::size_t>(y) * b + x] = row[x];
+        }
+      }
+      feature::dct2d(block.data(), coef.data(), b);
+      for (int c = 0; c < t.channels; ++c) {
+        t.values[(static_cast<std::size_t>(c) * gh + gy) * gw + gx] =
+            coef[static_cast<std::size_t>(zz[static_cast<std::size_t>(c)])];
+      }
+    }
+  }
+  return t;
+}
+
 float DensityCutDetector::score(const data::Clip& clip) const {
   const double area = static_cast<double>(geom::union_area(clip.rects));
   const double total =

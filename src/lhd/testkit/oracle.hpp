@@ -12,6 +12,7 @@
 #include "lhd/core/detector.hpp"
 #include "lhd/core/scan.hpp"
 #include "lhd/data/dataset.hpp"
+#include "lhd/feature/dct.hpp"
 #include "lhd/gds/model.hpp"
 #include "lhd/nn/network.hpp"
 #include "lhd/util/rng.hpp"
@@ -41,6 +42,13 @@ void matrix_dct2d(const double* in, double* out, int n);
 ///   3. feature::idct2d(feature::dct2d(x)) round-trips within `float_tol`.
 void expect_dct_parity(const std::vector<float>& block, int n,
                        double algo_tol = 1e-9, double float_tol = 5e-5);
+
+/// The block-at-a-time DCT tensor: for every block of `raster`, gather it,
+/// transform all b² coefficients with feature::dct2d and keep the first
+/// `config.coefficients` in zig-zag order. feature::dct_tensor_from_raster
+/// must return these exact bytes (memcmp, not a tolerance).
+feature::DctTensor dct_tensor_reference(const geom::FloatImage& raster,
+                                        const feature::DctConfig& config);
 
 // --- scan -------------------------------------------------------------------
 

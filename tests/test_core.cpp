@@ -1092,6 +1092,27 @@ TEST(CnnDetector, EmptyAndSingleClipScoreBatch) {
   EXPECT_EQ(batch[0], det.score(one[0]));
 }
 
+TEST(CnnDetector, RejectsClipOfAnotherWindowSize) {
+  // The DCT extractor's grid is fixed at window_nm 1024; a 2048-nm clip
+  // must fail at extraction with a message naming both sizes, not later
+  // inside the network.
+  CnnDetector det("cnn-window", {});
+  data::Clip clip;
+  clip.window_nm = 2048;
+  clip.rects = {Rect(0, 0, 600, 600)};
+  try {
+    (void)det.score(clip);
+    FAIL() << "a 2048-nm clip was scored";
+  } catch (const Error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("window_nm 2048"), std::string::npos) << what;
+    EXPECT_NE(what.find("16x16 block grid of window_nm 1024"),
+              std::string::npos)
+        << what;
+  }
+  EXPECT_THROW(det.score_batch(std::vector<data::Clip>{clip}), Error);
+}
+
 /// Density detector whose score_batch throws on its Nth invocation
 /// (process-wide across threads); per-clip score() never throws, so the
 /// naive baseline path is unaffected.

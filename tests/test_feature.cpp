@@ -3,15 +3,22 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
+#include <fstream>
 #include <set>
+#include <sstream>
+#include <string>
 
 #include "lhd/feature/extractor.hpp"
 #include "lhd/geom/polygon.hpp"
 #include "lhd/feature/pca.hpp"
 #include "lhd/feature/scaler.hpp"
 #include "lhd/feature/squish.hpp"
+#include "lhd/obs/json.hpp"
+#include "lhd/synth/clip_gen.hpp"
 #include "lhd/testkit/testkit.hpp"
 #include "lhd/util/rng.hpp"
+#include "lhd/util/thread_pool.hpp"
 
 namespace lhd::feature {
 namespace {
@@ -205,6 +212,67 @@ TEST(Dct, FullClipTensorHasUniformDcOnly) {
 
 TEST(Dct, RejectsTooManyCoefficients) {
   EXPECT_THROW(dct_tensor(full_clip(), {8, 8, 65}), Error);
+}
+
+TEST(Dct, MatchesCommittedDigest) {
+  // FNV-1a-64 over the raw `values` bytes of dct_tensor for 16 seeded
+  // synthetic clips, per config, compared exactly against
+  // tests/fixtures/dct_digest.json. The fixture pins the feature bits the
+  // CNN was trained on: a kernel change that moves any bit fails here, and
+  // the fix is in the kernel, not in the fixture.
+  constexpr int kClips = 16;
+  const DctConfig configs[] = {{8, 8, 16}, {8, 8, 64}, {8, 4, 10}};
+  obs::Json got = obs::Json::object();
+  for (const auto& cfg : configs) {
+    std::string bytes;
+    for (int seed = 1; seed <= kClips; ++seed) {
+      Rng rng(static_cast<std::uint64_t>(seed));
+      data::Clip clip;
+      clip.window_nm = 1024;
+      clip.rects = synth::generate_clip(synth::StyleConfig{}, rng);
+      const auto t = dct_tensor(clip, cfg);
+      bytes.append(reinterpret_cast<const char*>(t.values.data()),
+                   t.values.size() * sizeof(float));
+    }
+    char hex[19];
+    std::snprintf(hex, sizeof hex, "0x%016llx",
+                  static_cast<unsigned long long>(testkit::fnv1a(bytes)));
+    std::ostringstream key;
+    key << cfg.pixel_nm << "," << cfg.block << "," << cfg.coefficients;
+    got[key.str()] = std::string(hex);
+  }
+
+  std::ifstream in(LHD_FIXTURES_DIR "/dct_digest.json");
+  ASSERT_TRUE(in) << "missing tests/fixtures/dct_digest.json; computed "
+                  << got.dump();
+  std::stringstream text;
+  text << in.rdbuf();
+  EXPECT_EQ(got.dump(), obs::Json::parse(text.str()).dump())
+      << "DCT tensor bits differ from tests/fixtures/dct_digest.json";
+}
+
+TEST(Dct, ConcurrentTensorsEqualSerial) {
+  // 64 clips on a dedicated 4-worker pool against the same clips run
+  // serially. The block sides cycle so the shared basis and zig-zag caches
+  // meet some sizes for the first time from several workers at once —
+  // the race the TSan sweep runs this binary for.
+  constexpr std::size_t kClips = 64;
+  const DctConfig configs[] = {{8, 2, 4}, {8, 4, 10}, {8, 8, 16}, {8, 16, 16}};
+  std::vector<data::Clip> clips(kClips);
+  for (std::size_t i = 0; i < kClips; ++i) {
+    Rng rng(100 + i);
+    clips[i].window_nm = 1024;
+    clips[i].rects = synth::generate_clip(synth::StyleConfig{}, rng);
+  }
+  std::vector<DctTensor> parallel(kClips);
+  ThreadPool pool(4);
+  pool.parallel_for(0, kClips, [&](std::size_t i) {
+    parallel[i] = dct_tensor(clips[i], configs[i % 4]);
+  });
+  for (std::size_t i = 0; i < kClips; ++i) {
+    const auto serial = dct_tensor(clips[i], configs[i % 4]);
+    EXPECT_EQ(parallel[i].values, serial.values) << "clip " << i;
+  }
 }
 
 // ------------------------------------------------------------- extractor --

@@ -6,7 +6,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 #include <memory>
+#include <sstream>
 #include <string>
 
 #include "lhd/core/cnn_detector.hpp"
@@ -255,6 +257,54 @@ TEST(Property, DctOfConstantBlockIsDcOnly) {
     EXPECT_NEAR(out[0], n * level, 1e-4);
     for (std::size_t i = 1; i < out.size(); ++i) {
       EXPECT_NEAR(out[i], 0.0f, 1e-4);
+    }
+  });
+}
+
+TEST(Property, DctTensorMatchesBlockReferenceBitForBit) {
+  CHECK_PROPERTY("dct-tensor-parity", 64, [](Rng& rng, std::size_t size) {
+    // Every block side with every coefficient-count regime: DC only, one
+    // row's worth, the production 16 (or all, for small blocks), and the
+    // whole block.
+    static constexpr int kSides[] = {2, 4, 8, 16};
+    const int b = kSides[size % 4];
+    const int counts[] = {1, b, std::min(16, b * b), b * b};
+    const int coefficients = counts[(size / 4) % 4];
+    // Independent grid sides, so most rasters are not square.
+    const int gw = static_cast<int>(rng.next_int(1, 9));
+    const int gh = static_cast<int>(rng.next_int(1, 9));
+    // Raster-like pixels: exact 0 and 1 (the rasterizer's common values)
+    // mixed with fractional coverage and a few negatives.
+    geom::FloatImage raster(gw * b, gh * b);
+    for (int y = 0; y < raster.height(); ++y) {
+      for (int x = 0; x < raster.width(); ++x) {
+        const auto pick = rng.next_int(0, 3);
+        raster.at(x, y) = pick == 0   ? 0.0f
+                          : pick == 1 ? 1.0f
+                          : pick == 2 ? static_cast<float>(rng.next_double())
+                                      : static_cast<float>(
+                                            rng.next_double(-1.0, 1.0));
+      }
+    }
+    const feature::DctConfig cfg{8, b, coefficients};
+    const auto fast = feature::dct_tensor_from_raster(raster, cfg);
+    const auto ref = dct_tensor_reference(raster, cfg);
+    if (fast.channels != ref.channels || fast.height != ref.height ||
+        fast.width != ref.width || fast.values.size() != ref.values.size()) {
+      throw PropertyFailure("dct tensor shape differs from the reference");
+    }
+    if (std::memcmp(fast.values.data(), ref.values.data(),
+                    fast.values.size() * sizeof(float)) != 0) {
+      std::size_t i = 0;
+      while (std::memcmp(&fast.values[i], &ref.values[i], sizeof(float)) ==
+             0) {
+        ++i;
+      }
+      std::ostringstream os;
+      os << "dct tensor (b=" << b << ", k=" << coefficients << ", " << gw
+         << "x" << gh << " blocks) differs from the reference at value "
+         << i << ": " << fast.values[i] << " vs " << ref.values[i];
+      throw PropertyFailure(os.str());
     }
   });
 }
