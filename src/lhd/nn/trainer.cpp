@@ -48,10 +48,23 @@ Tensor Trainer::make_batch(const Rows& x,
 std::vector<EpochStats> Trainer::train(const Rows& x,
                                        const std::vector<float>& y,
                                        const TrainConfig& config) {
-  LHD_CHECK(!x.empty() && x.size() == y.size(), "bad training data");
   Rng rng(config.seed);
   net_->init(rng);
+  return run_epochs(x, y, config, rng, 0);
+}
 
+std::vector<EpochStats> Trainer::continue_training(
+    const Rows& x, const std::vector<float>& y, const TrainConfig& config,
+    int epoch_offset) {
+  Rng rng(config.seed + 1000);
+  return run_epochs(x, y, config, rng, epoch_offset);
+}
+
+std::vector<EpochStats> Trainer::run_epochs(const Rows& x,
+                                            const std::vector<float>& y,
+                                            const TrainConfig& config,
+                                            Rng& rng, int epoch_offset) {
+  LHD_CHECK(!x.empty() && x.size() == y.size(), "bad training data");
   std::unique_ptr<Optimizer> opt;
   if (config.use_adam) {
     opt = make_adam({config.learning_rate, 0.9, 0.999, 1e-8,
@@ -65,19 +78,18 @@ std::vector<EpochStats> Trainer::train(const Rows& x,
   std::vector<EpochStats> history;
   std::vector<std::size_t> order(x.size());
   std::iota(order.begin(), order.end(), 0);
-
   for (int epoch = 0; epoch < config.epochs; ++epoch) {
     rng.shuffle(order);
     EpochStats stats;
-    stats.epoch = epoch;
+    stats.epoch = epoch_offset + epoch;
     stats.lambda = config.bias_lambda;
     run_epoch(x, y, config, *opt, order, stats);
     opt->set_learning_rate(opt->learning_rate() * config.lr_decay);
     record_epoch(stats);
     history.push_back(stats);
-    LHD_LOG(Debug) << "epoch " << epoch << ": loss " << stats.loss << " acc "
-                   << stats.accuracy << " recall " << stats.recall << " fa "
-                   << stats.false_alarm;
+    LHD_LOG(Debug) << "epoch " << stats.epoch << ": loss " << stats.loss
+                   << " acc " << stats.accuracy << " recall " << stats.recall
+                   << " fa " << stats.false_alarm;
   }
   return history;
 }
@@ -140,36 +152,6 @@ void Trainer::run_epoch(const Rows& x, const std::vector<float>& y,
       (tp + fn) ? static_cast<double>(tp) / static_cast<double>(tp + fn) : 0.0;
   stats.false_alarm =
       (fp + tn) ? static_cast<double>(fp) / static_cast<double>(fp + tn) : 0.0;
-}
-
-std::vector<EpochStats> Trainer::continue_training(
-    const Rows& x, const std::vector<float>& y, const TrainConfig& config,
-    int epoch_offset) {
-  Rng rng(config.seed + 1000);
-  std::unique_ptr<Optimizer> opt;
-  if (config.use_adam) {
-    opt = make_adam({config.learning_rate, 0.9, 0.999, 1e-8,
-                     config.weight_decay});
-  } else {
-    opt = make_sgd({config.learning_rate, config.momentum,
-                    config.weight_decay});
-  }
-  opt->attach(net_->params());
-
-  std::vector<EpochStats> history;
-  std::vector<std::size_t> order(x.size());
-  std::iota(order.begin(), order.end(), 0);
-  for (int epoch = 0; epoch < config.epochs; ++epoch) {
-    rng.shuffle(order);
-    EpochStats stats;
-    stats.epoch = epoch_offset + epoch;
-    stats.lambda = config.bias_lambda;
-    run_epoch(x, y, config, *opt, order, stats);
-    opt->set_learning_rate(opt->learning_rate() * config.lr_decay);
-    record_epoch(stats);
-    history.push_back(stats);
-  }
-  return history;
 }
 
 float Trainer::predict_proba(const std::vector<float>& row) const {

@@ -73,6 +73,13 @@ class Trainer {
  private:
   Tensor make_batch(const Rows& x, const std::vector<std::size_t>& order,
                     std::size_t begin, std::size_t end) const;
+  /// The shared epoch loop of train() and continue_training(): a fresh
+  /// optimizer, then per epoch shuffle with `rng`, run_epoch, lr decay and
+  /// record. `epoch_offset` relabels the returned stats.
+  std::vector<EpochStats> run_epochs(const Rows& x,
+                                     const std::vector<float>& y,
+                                     const TrainConfig& config, Rng& rng,
+                                     int epoch_offset);
   void run_epoch(const Rows& x, const std::vector<float>& y,
                  const TrainConfig& config, Optimizer& opt,
                  const std::vector<std::size_t>& order, EpochStats& stats);
