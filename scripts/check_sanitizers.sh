@@ -12,10 +12,11 @@
 #   2. configures a dedicated build tree (build-san-<tag>) with
 #      -DLHD_SANITIZE=<mode> -DLHD_NATIVE=OFF;
 #   3. builds the test binaries named in LHD_SANITIZER_TARGETS (default
-#      "test_util test_core test_serve test_feature" — the
-#      concurrency-heavy suites, the serve daemon suite and the feature
-#      suite with its shared DCT basis caches; the full suite under TSan
-#      is minutes, not seconds) and runs each directly.
+#      "test_util test_core test_serve test_feature test_nn test_nn_grad"
+#      — the concurrency-heavy suites, the serve daemon suite, the
+#      feature suite with its shared DCT basis caches, and the nn suites
+#      whose GEMM kernels index packed thread_local scratch; the full
+#      suite under TSan is minutes, not seconds) and runs each directly.
 #
 # The binaries are run directly rather than through the inner tree's
 # ctest: that would re-enter this script (it is itself a ctest) and drag
@@ -36,7 +37,7 @@ case "$mode" in
     ;;
 esac
 tag="$(echo "$mode" | tr ',' '-')"
-targets="${LHD_SANITIZER_TARGETS:-test_util test_core test_serve test_feature}"
+targets="${LHD_SANITIZER_TARGETS:-test_util test_core test_serve test_feature test_nn test_nn_grad}"
 
 # --- 1. probe that the compiler can link this sanitizer --------------------
 cxx="${CXX:-c++}"

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <sstream>
 
 #include "lhd/nn/gemm.hpp"
 
@@ -16,6 +17,26 @@ inline std::size_t uz(int v) { return static_cast<std::size_t>(v); }
 /// lowering never balloons memory on big batches (measured flat vs larger
 /// budgets on the hotspot-CNN shapes).
 constexpr std::size_t kConvColBudget = std::size_t{1} << 18;
+
+std::string shape_str(const std::vector<int>& shape) {
+  std::ostringstream os;
+  os << '[';
+  for (std::size_t i = 0; i < shape.size(); ++i) {
+    os << (i ? "," : "") << shape[i];
+  }
+  os << ']';
+  return os.str();
+}
+
+/// backward() reads its caches at every grad_output index, so a gradient
+/// whose shape is not the forward output's `want` is rejected up front.
+void check_grad_shape(const char* layer, const Tensor& grad_output,
+                      const std::vector<int>& want) {
+  LHD_CHECK_MSG(grad_output.shape() == want,
+                layer << " backward: grad_output shape "
+                      << shape_str(grad_output.shape())
+                      << " != forward output shape " << shape_str(want));
+}
 
 }  // namespace
 
@@ -216,84 +237,42 @@ Tensor Conv2d::backward(const Tensor& grad_output) {
   const int n = input_.dim(0);
   const int h = input_.dim(2);
   const int w = input_.dim(3);
-  const int oh = grad_output.dim(2);
-  const int ow = grad_output.dim(3);
+  const int oh = h + 2 * pad_ - k_ + 1;
+  const int ow = w + 2 * pad_ - k_ + 1;
+  check_grad_shape("conv2d", grad_output, {n, out_c_, oh, ow});
   const int krows = in_c_ * k_ * k_;
-  const std::size_t spatial = static_cast<std::size_t>(oh) * ow;
+  const int spatial = oh * ow;
+  const std::size_t sample = uz(in_c_) * uz(h) * uz(w);
+
+  // Wᵀ [krows × out_c], so dcol = Wᵀ · gout is a row-major GEMM.
+  std::vector<float> weight_t(weight_.size());
+  for (int oc = 0; oc < out_c_; ++oc) {
+    for (int r = 0; r < krows; ++r) {
+      weight_t[uz(r) * uz(out_c_) + uz(oc)] =
+          weight_[uz(oc) * uz(krows) + uz(r)];
+    }
+  }
 
   Tensor grad_in(input_.shape());
-  std::vector<float> col(static_cast<std::size_t>(krows) * spatial);
+  std::vector<float> col(uz(krows) * uz(spatial));
   std::vector<float> col_grad(col.size());
-
   for (int s = 0; s < n; ++s) {
-    im2col(input_.data() + static_cast<std::size_t>(s) * in_c_ * h * w, h, w,
-           col.data(), spatial);
-    const float* gout =
-        grad_output.data() + static_cast<std::size_t>(s) * out_c_ * spatial;
-
-    // dW += gout * col^T ; db += sum(gout). col rows are the long axis, so
-    // walk them once and accumulate against all output-channel grads.
+    const float* gout = grad_output.data() + uz(s) * uz(out_c_) * uz(spatial);
     for (int oc = 0; oc < out_c_; ++oc) {
-      const float* grow = gout + static_cast<std::size_t>(oc) * spatial;
+      const float* grow = gout + uz(oc) * uz(spatial);
       double bsum = 0.0;
-      for (std::size_t i = 0; i < spatial; ++i) bsum += grow[i];
-      bias_grad_[static_cast<std::size_t>(oc)] += static_cast<float>(bsum);
+      for (int i = 0; i < spatial; ++i) bsum += grow[i];
+      bias_grad_[uz(oc)] += static_cast<float>(bsum);
     }
-    for (int r = 0; r < krows; ++r) {
-      const float* crow = col.data() + static_cast<std::size_t>(r) * spatial;
-      int oc = 0;
-      for (; oc + 4 <= out_c_; oc += 4) {
-        const float* g0 = gout + static_cast<std::size_t>(oc) * spatial;
-        const float* g1 = g0 + spatial;
-        const float* g2 = g1 + spatial;
-        const float* g3 = g2 + spatial;
-        float a0 = 0, a1 = 0, a2 = 0, a3 = 0;
-        for (std::size_t i = 0; i < spatial; ++i) {
-          const float v = crow[i];
-          a0 += g0[i] * v;
-          a1 += g1[i] * v;
-          a2 += g2[i] * v;
-          a3 += g3[i] * v;
-        }
-        weight_grad_[static_cast<std::size_t>(oc) * krows + r] += a0;
-        weight_grad_[(static_cast<std::size_t>(oc) + 1) * krows + r] += a1;
-        weight_grad_[(static_cast<std::size_t>(oc) + 2) * krows + r] += a2;
-        weight_grad_[(static_cast<std::size_t>(oc) + 3) * krows + r] += a3;
-      }
-      for (; oc < out_c_; ++oc) {
-        const float* grow = gout + static_cast<std::size_t>(oc) * spatial;
-        float acc = 0;
-        for (std::size_t i = 0; i < spatial; ++i) acc += grow[i] * crow[i];
-        weight_grad_[static_cast<std::size_t>(oc) * krows + r] += acc;
-      }
-    }
-
-    // dcol = W^T * gout, then scatter back with col2im.
+    // dW += gout · colᵀ over the forward's im2col lowering of this sample.
+    im2col(input_.data() + uz(s) * sample, h, w, col.data(), uz(spatial));
+    gemm(out_c_, krows, spatial, gout, spatial, col.data(), spatial,
+         /*trans_b=*/true, weight_grad_.data(), krows);
+    // dcol = Wᵀ · gout, scattered back onto the input planes by col2im.
     std::fill(col_grad.begin(), col_grad.end(), 0.0f);
-    for (int r = 0; r < krows; ++r) {
-      float* crow = col_grad.data() + static_cast<std::size_t>(r) * spatial;
-      int oc = 0;
-      for (; oc + 4 <= out_c_; oc += 4) {
-        const float* g0 = gout + static_cast<std::size_t>(oc) * spatial;
-        const float* g1 = g0 + spatial;
-        const float* g2 = g1 + spatial;
-        const float* g3 = g2 + spatial;
-        const float a = weight_[static_cast<std::size_t>(oc) * krows + r];
-        const float b = weight_[(static_cast<std::size_t>(oc) + 1) * krows + r];
-        const float c = weight_[(static_cast<std::size_t>(oc) + 2) * krows + r];
-        const float d = weight_[(static_cast<std::size_t>(oc) + 3) * krows + r];
-        for (std::size_t i = 0; i < spatial; ++i) {
-          crow[i] += a * g0[i] + b * g1[i] + c * g2[i] + d * g3[i];
-        }
-      }
-      for (; oc < out_c_; ++oc) {
-        const float wv = weight_[static_cast<std::size_t>(oc) * krows + r];
-        const float* grow = gout + static_cast<std::size_t>(oc) * spatial;
-        for (std::size_t i = 0; i < spatial; ++i) crow[i] += wv * grow[i];
-      }
-    }
-    col2im(col_grad.data(), h, w,
-           grad_in.data() + static_cast<std::size_t>(s) * in_c_ * h * w);
+    gemm(krows, spatial, out_c_, weight_t.data(), out_c_, gout, spatial,
+         /*trans_b=*/false, col_grad.data(), spatial);
+    col2im(col_grad.data(), h, w, grad_in.data() + uz(s) * sample);
   }
   return grad_in;
 }
@@ -305,15 +284,9 @@ std::vector<Param> Conv2d::params() {
 // ------------------------------------------------------------------ Relu --
 
 Tensor Relu::forward(const Tensor& input, bool /*training*/) {
-  Tensor out = input;
-  mask_.assign(input.size(), 0);
-  for (std::size_t i = 0; i < out.size(); ++i) {
-    if (out[i] > 0) {
-      mask_[i] = 1;
-    } else {
-      out[i] = 0.0f;
-    }
-  }
+  Tensor out = infer(input);
+  mask_.resize(out.size());
+  for (std::size_t i = 0; i < out.size(); ++i) mask_[i] = out[i] > 0;
   return out;
 }
 
@@ -386,6 +359,12 @@ Tensor MaxPool2::apply(const Tensor& input, std::vector<int>* argmax) const {
 }
 
 Tensor MaxPool2::backward(const Tensor& grad_output) {
+  std::vector<int> out_shape = in_shape_;
+  if (out_shape.size() == 4) {
+    out_shape[2] /= 2;
+    out_shape[3] /= 2;
+  }
+  check_grad_shape("maxpool2", grad_output, out_shape);
   Tensor grad_in(in_shape_);
   for (std::size_t i = 0; i < grad_output.size(); ++i) {
     grad_in[static_cast<std::size_t>(argmax_[i])] += grad_output[i];
@@ -446,173 +425,29 @@ Tensor Linear::apply_gemm(const Tensor& input) const {
 
 Tensor Linear::backward(const Tensor& grad_output) {
   const int n = input_.dim(0);
-  Tensor grad_in({n, in_f_});
+  check_grad_shape("linear", grad_output, {n, out_f_});
+  const float* g = grad_output.data();
+  // gᵀ [out_f × n], so dW += gᵀ · x is a row-major GEMM.
+  std::vector<float> g_t(uz(out_f_) * uz(n));
   for (int s = 0; s < n; ++s) {
-    const float* x = input_.data() + static_cast<std::size_t>(s) * in_f_;
-    const float* g = grad_output.data() + static_cast<std::size_t>(s) * out_f_;
-    float* gi = grad_in.data() + static_cast<std::size_t>(s) * in_f_;
     for (int j = 0; j < out_f_; ++j) {
-      const float gj = g[j];
-      bias_grad_[static_cast<std::size_t>(j)] += gj;
-      float* wg = weight_grad_.data() + static_cast<std::size_t>(j) * in_f_;
-      const float* wrow = weight_.data() + static_cast<std::size_t>(j) * in_f_;
-      for (int i = 0; i < in_f_; ++i) {
-        wg[i] += gj * x[i];
-        gi[i] += gj * wrow[i];
-      }
+      const float gj = g[uz(s) * uz(out_f_) + uz(j)];
+      g_t[uz(j) * uz(n) + uz(s)] = gj;
+      bias_grad_[uz(j)] += gj;
     }
   }
+  gemm(out_f_, in_f_, n, g_t.data(), n, input_.data(), in_f_,
+       /*trans_b=*/false, weight_grad_.data(), in_f_);
+  // dX = g · W.
+  Tensor grad_in({n, in_f_});
+  gemm(n, in_f_, out_f_, g, out_f_, weight_.data(), in_f_, /*trans_b=*/false,
+       grad_in.data(), in_f_);
   grad_in.reshape(in_shape_);
   return grad_in;
 }
 
 std::vector<Param> Linear::params() {
   return {{&weight_, &weight_grad_}, {&bias_, &bias_grad_}};
-}
-
-// ------------------------------------------------------------- BatchNorm --
-
-BatchNorm2d::BatchNorm2d(int channels, double momentum, double epsilon)
-    : c_(channels), momentum_(momentum), eps_(epsilon) {
-  LHD_CHECK(c_ > 0, "channels must be positive");
-  gamma_.assign(static_cast<std::size_t>(c_), 1.0f);
-  gamma_grad_.assign(gamma_.size(), 0.0f);
-  beta_.assign(gamma_.size(), 0.0f);
-  beta_grad_.assign(gamma_.size(), 0.0f);
-  running_mean_.assign(gamma_.size(), 0.0f);
-  running_var_.assign(gamma_.size(), 1.0f);
-}
-
-void BatchNorm2d::init(Rng& /*rng*/) {
-  std::fill(gamma_.begin(), gamma_.end(), 1.0f);
-  std::fill(beta_.begin(), beta_.end(), 0.0f);
-  std::fill(running_mean_.begin(), running_mean_.end(), 0.0f);
-  std::fill(running_var_.begin(), running_var_.end(), 1.0f);
-}
-
-Tensor BatchNorm2d::forward(const Tensor& input, bool training) {
-  LHD_CHECK(input.rank() == 4 && input.dim(1) == c_,
-            "batchnorm expects NCHW with matching channels");
-  const int n = input.dim(0);
-  const int h = input.dim(2);
-  const int w = input.dim(3);
-  const std::size_t plane = static_cast<std::size_t>(h) * w;
-  const std::size_t per_c = static_cast<std::size_t>(n) * plane;
-  in_shape_ = input.shape();
-
-  Tensor out(input.shape());
-  x_hat_ = Tensor(input.shape());
-  inv_std_.assign(static_cast<std::size_t>(c_), 0.0f);
-  trained_forward_ = training;
-
-  for (int c = 0; c < c_; ++c) {
-    double mean, var;
-    if (training) {
-      double sum = 0.0, sum2 = 0.0;
-      for (int s = 0; s < n; ++s) {
-        const float* p = input.data() +
-                         (static_cast<std::size_t>(s) * c_ + c) * plane;
-        for (std::size_t i = 0; i < plane; ++i) {
-          sum += p[i];
-          sum2 += static_cast<double>(p[i]) * p[i];
-        }
-      }
-      mean = sum / static_cast<double>(per_c);
-      var = std::max(0.0, sum2 / static_cast<double>(per_c) - mean * mean);
-      running_mean_[static_cast<std::size_t>(c)] = static_cast<float>(
-          momentum_ * running_mean_[static_cast<std::size_t>(c)] +
-          (1.0 - momentum_) * mean);
-      running_var_[static_cast<std::size_t>(c)] = static_cast<float>(
-          momentum_ * running_var_[static_cast<std::size_t>(c)] +
-          (1.0 - momentum_) * var);
-    } else {
-      mean = running_mean_[static_cast<std::size_t>(c)];
-      var = running_var_[static_cast<std::size_t>(c)];
-    }
-    const auto istd = static_cast<float>(1.0 / std::sqrt(var + eps_));
-    inv_std_[static_cast<std::size_t>(c)] = istd;
-    const float g = gamma_[static_cast<std::size_t>(c)];
-    const float b = beta_[static_cast<std::size_t>(c)];
-    const auto m = static_cast<float>(mean);
-    for (int s = 0; s < n; ++s) {
-      const std::size_t off = (static_cast<std::size_t>(s) * c_ + c) * plane;
-      for (std::size_t i = 0; i < plane; ++i) {
-        const float xh = (input.data()[off + i] - m) * istd;
-        x_hat_.data()[off + i] = xh;
-        out.data()[off + i] = g * xh + b;
-      }
-    }
-  }
-  return out;
-}
-
-Tensor BatchNorm2d::infer(const Tensor& input) const {
-  LHD_CHECK(input.rank() == 4 && input.dim(1) == c_,
-            "batchnorm expects NCHW with matching channels");
-  const int n = input.dim(0);
-  const int h = input.dim(2);
-  const int w = input.dim(3);
-  const std::size_t plane = static_cast<std::size_t>(h) * w;
-
-  Tensor out(input.shape());
-  for (int c = 0; c < c_; ++c) {
-    const double mean = running_mean_[static_cast<std::size_t>(c)];
-    const double var = running_var_[static_cast<std::size_t>(c)];
-    const auto istd = static_cast<float>(1.0 / std::sqrt(var + eps_));
-    const float g = gamma_[static_cast<std::size_t>(c)];
-    const float b = beta_[static_cast<std::size_t>(c)];
-    const auto m = static_cast<float>(mean);
-    for (int s = 0; s < n; ++s) {
-      const std::size_t off = (static_cast<std::size_t>(s) * c_ + c) * plane;
-      for (std::size_t i = 0; i < plane; ++i) {
-        const float xh = (input.data()[off + i] - m) * istd;
-        out.data()[off + i] = g * xh + b;
-      }
-    }
-  }
-  return out;
-}
-
-Tensor BatchNorm2d::backward(const Tensor& grad_output) {
-  const int n = in_shape_[0];
-  const int h = in_shape_[2];
-  const int w = in_shape_[3];
-  const std::size_t plane = static_cast<std::size_t>(h) * w;
-  const auto per_c = static_cast<double>(static_cast<std::size_t>(n) * plane);
-
-  Tensor grad_in(in_shape_);
-  for (int c = 0; c < c_; ++c) {
-    double sum_g = 0.0, sum_gx = 0.0;
-    for (int s = 0; s < n; ++s) {
-      const std::size_t off = (static_cast<std::size_t>(s) * c_ + c) * plane;
-      for (std::size_t i = 0; i < plane; ++i) {
-        sum_g += grad_output.data()[off + i];
-        sum_gx += static_cast<double>(grad_output.data()[off + i]) *
-                  x_hat_.data()[off + i];
-      }
-    }
-    gamma_grad_[static_cast<std::size_t>(c)] += static_cast<float>(sum_gx);
-    beta_grad_[static_cast<std::size_t>(c)] += static_cast<float>(sum_g);
-    // Training mode couples every output to the batch statistics; eval mode
-    // treats mean/var as constants, so the input gradient is a pure scale.
-    const double mean_g = trained_forward_ ? sum_g / per_c : 0.0;
-    const double mean_gx = trained_forward_ ? sum_gx / per_c : 0.0;
-    const float scale = gamma_[static_cast<std::size_t>(c)] *
-                        inv_std_[static_cast<std::size_t>(c)];
-    for (int s = 0; s < n; ++s) {
-      const std::size_t off = (static_cast<std::size_t>(s) * c_ + c) * plane;
-      for (std::size_t i = 0; i < plane; ++i) {
-        grad_in.data()[off + i] = static_cast<float>(
-            scale * (grad_output.data()[off + i] - mean_g -
-                     x_hat_.data()[off + i] * mean_gx));
-      }
-    }
-  }
-  return grad_in;
-}
-
-std::vector<Param> BatchNorm2d::params() {
-  return {{&gamma_, &gamma_grad_}, {&beta_, &beta_grad_}};
 }
 
 // --------------------------------------------------------------- Dropout --
@@ -622,6 +457,7 @@ Dropout::Dropout(double p, std::uint64_t seed) : p_(p), rng_(seed) {
 }
 
 Tensor Dropout::forward(const Tensor& input, bool training) {
+  in_shape_ = input.shape();
   if (!training || p_ == 0.0) {
     mask_.assign(input.size(), 1);
     return input;
@@ -643,6 +479,7 @@ Tensor Dropout::forward(const Tensor& input, bool training) {
 Tensor Dropout::infer(const Tensor& input) const { return input; }
 
 Tensor Dropout::backward(const Tensor& grad_output) {
+  check_grad_shape("dropout", grad_output, in_shape_);
   Tensor grad = grad_output;
   const auto scale = static_cast<float>(1.0 / (1.0 - p_));
   for (std::size_t i = 0; i < grad.size(); ++i) {

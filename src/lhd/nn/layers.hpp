@@ -1,8 +1,9 @@
 #pragma once
 // Neural-network layers with explicit forward/backward passes. Batched
 // NCHW tensors; convolution is im2col + matmul, the standard CPU route.
-// Conv2d and Linear forwards run through the blocked GEMM in gemm.hpp; the
-// reference loops they are tested against live in testkit (oracle.hpp).
+// Every Conv2d and Linear product, forward and backward, runs through the
+// blocked GEMM in gemm.hpp; the reference loops they are tested against
+// live in testkit (oracle.hpp).
 // See docs/PERFORMANCE.md for the contract.
 
 #include <cstddef>
@@ -132,34 +133,6 @@ class Linear final : public Layer {
   std::vector<int> in_shape_;
 };
 
-/// Per-channel batch normalization for NCHW tensors. Training uses batch
-/// statistics and maintains running estimates; evaluation uses the running
-/// estimates.
-class BatchNorm2d final : public Layer {
- public:
-  explicit BatchNorm2d(int channels, double momentum = 0.9,
-                       double epsilon = 1e-5);
-
-  std::string name() const override { return "batchnorm2d"; }
-  Tensor forward(const Tensor& input, bool training) override;
-  Tensor infer(const Tensor& input) const override;
-  Tensor backward(const Tensor& grad_output) override;
-  std::vector<Param> params() override;
-  void init(Rng& rng) override;
-
- private:
-  int c_;
-  double momentum_, eps_;
-  std::vector<float> gamma_, gamma_grad_;
-  std::vector<float> beta_, beta_grad_;
-  std::vector<float> running_mean_, running_var_;
-  // backward cache
-  Tensor x_hat_;
-  std::vector<float> inv_std_;
-  std::vector<int> in_shape_;
-  bool trained_forward_ = true;  ///< mode of the cached forward pass
-};
-
 /// Inverted dropout (train-time scaling by 1/(1-p)).
 class Dropout final : public Layer {
  public:
@@ -174,6 +147,7 @@ class Dropout final : public Layer {
   double p_;
   Rng rng_;
   std::vector<std::uint8_t> mask_;
+  std::vector<int> in_shape_;
 };
 
 }  // namespace lhd::nn

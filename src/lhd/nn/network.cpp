@@ -58,18 +58,15 @@ std::size_t Network::param_count() {
   return n;
 }
 
-Network make_hotspot_cnn(int in_channels, int grid, bool batchnorm) {
+Network make_hotspot_cnn(int in_channels, int grid) {
   LHD_CHECK(grid % 4 == 0, "grid must be divisible by 4 (two pools)");
   Network net;
   net.add(std::make_unique<Conv2d>(in_channels, 24, 3, 1));
-  if (batchnorm) net.add(std::make_unique<BatchNorm2d>(24));
   net.add(std::make_unique<Relu>());
   net.add(std::make_unique<Conv2d>(24, 24, 3, 1));
-  if (batchnorm) net.add(std::make_unique<BatchNorm2d>(24));
   net.add(std::make_unique<Relu>());
   net.add(std::make_unique<MaxPool2>());
   net.add(std::make_unique<Conv2d>(24, 32, 3, 1));
-  if (batchnorm) net.add(std::make_unique<BatchNorm2d>(32));
   net.add(std::make_unique<Relu>());
   net.add(std::make_unique<MaxPool2>());
   const int flat = 32 * (grid / 4) * (grid / 4);

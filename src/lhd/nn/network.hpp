@@ -63,8 +63,6 @@ class Network {
 
 /// The hotspot-CNN used by the deep-learning detector. Input is the DCT
 /// feature tensor [channels, grid, grid] (grid must be divisible by 4).
-/// With batchnorm = true, each conv is followed by BatchNorm2d (an
-/// ablation-ready variant; the benchmarked default is without).
-Network make_hotspot_cnn(int in_channels, int grid, bool batchnorm = false);
+Network make_hotspot_cnn(int in_channels, int grid);
 
 }  // namespace lhd::nn

@@ -356,6 +356,47 @@ void compare_close(const float* fast, const float* ref, std::size_t count,
   }
 }
 
+/// Rounds double-precision gradient accumulators into a LayerGrads.
+LayerGrads round_grads(const std::vector<int>& input_shape,
+                       const std::vector<double>& dx,
+                       const std::vector<double>& dw,
+                       const std::vector<double>& db) {
+  LayerGrads grads{nn::Tensor(input_shape), {}, {}};
+  std::transform(dx.begin(), dx.end(), grads.input.data(),
+                 [](double v) { return static_cast<float>(v); });
+  grads.weight.assign(dw.begin(), dw.end());
+  grads.bias.assign(db.begin(), db.end());
+  return grads;
+}
+
+/// Runs `layer` forward(training) on `input`, then backward(grad_output)
+/// from random non-zero gradient seeds, and holds its input gradient and
+/// seed + `ref` parameter gradients to `tol`.
+void expect_backward_matches(nn::Layer& layer, const nn::Tensor& input,
+                             const nn::Tensor& grad_output,
+                             const LayerGrads& ref, Rng& rng, double tol,
+                             const std::string& what) {
+  const std::vector<nn::Param> params = layer.params();
+  std::vector<std::vector<float>> want = {ref.weight, ref.bias};
+  for (std::size_t p = 0; p < params.size(); ++p) {
+    fill_uniform(rng, params[p].grad->data(), params[p].grad->size());
+    for (std::size_t i = 0; i < want[p].size(); ++i) {
+      want[p][i] += (*params[p].grad)[i];
+    }
+  }
+  (void)layer.forward(input, /*training=*/true);
+  const nn::Tensor grad_in = layer.backward(grad_output);
+  if (grad_in.shape() != input.shape()) {
+    oracle_fail(what + ": input gradient shape differs from the input's");
+  }
+  compare_close(grad_in.data(), ref.input.data(), grad_in.size(), tol,
+                (what + " input gradient").c_str());
+  compare_close(params[0].grad->data(), want[0].data(), want[0].size(), tol,
+                (what + " weight gradient").c_str());
+  compare_close(params[1].grad->data(), want[1].data(), want[1].size(), tol,
+                (what + " bias gradient").c_str());
+}
+
 }  // namespace
 
 void gemm_reference(int m, int n, int k, const float* a, int lda,
@@ -559,6 +600,134 @@ void expect_nn_kernel_parity(Rng& rng, std::size_t size, double tol) {
       oracle_fail(os.str());
     }
   }
+}
+
+LayerGrads conv2d_backward_reference(const nn::Tensor& input,
+                                     std::span<const float> weight,
+                                     const nn::Tensor& grad_output,
+                                     int kernel, int pad) {
+  LHD_CHECK(input.rank() == 4 && grad_output.rank() == 4,
+            "conv2d_backward_reference wants NCHW");
+  const int n = input.dim(0);
+  const int in_c = input.dim(1);
+  const int h = input.dim(2);
+  const int w = input.dim(3);
+  const int out_c = grad_output.dim(1);
+  const int oh = grad_output.dim(2);
+  const int ow = grad_output.dim(3);
+  LHD_CHECK(grad_output.dim(0) == n && oh == h + 2 * pad - kernel + 1 &&
+                ow == w + 2 * pad - kernel + 1 &&
+                weight.size() ==
+                    zu(out_c) * zu(in_c) * zu(kernel) * zu(kernel),
+            "conv2d_backward_reference shape mismatch");
+  std::vector<double> dx(input.size(), 0.0);
+  std::vector<double> dw(weight.size(), 0.0);
+  std::vector<double> db(zu(out_c), 0.0);
+  std::size_t o = 0;
+  for (int s = 0; s < n; ++s) {
+    for (int oc = 0; oc < out_c; ++oc) {
+      for (int oy = 0; oy < oh; ++oy) {
+        for (int ox = 0; ox < ow; ++ox) {
+          const double g = grad_output[o++];
+          db[zu(oc)] += g;
+          for (int c = 0; c < in_c; ++c) {
+            for (int ky = 0; ky < kernel; ++ky) {
+              const int iy = oy + ky - pad;
+              if (iy < 0 || iy >= h) continue;
+              for (int kx = 0; kx < kernel; ++kx) {
+                const int ix = ox + kx - pad;
+                if (ix < 0 || ix >= w) continue;
+                const std::size_t xi =
+                    ((zu(s) * zu(in_c) + zu(c)) * zu(h) + zu(iy)) * zu(w) +
+                    zu(ix);
+                const std::size_t wi =
+                    ((zu(oc) * zu(in_c) + zu(c)) * zu(kernel) + zu(ky)) *
+                        zu(kernel) +
+                    zu(kx);
+                dw[wi] += g * static_cast<double>(input[xi]);
+                dx[xi] += g * static_cast<double>(weight[wi]);
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+  return round_grads(input.shape(), dx, dw, db);
+}
+
+LayerGrads linear_backward_reference(const nn::Tensor& input,
+                                     std::span<const float> weight,
+                                     const nn::Tensor& grad_output) {
+  LHD_CHECK(grad_output.rank() == 2 && grad_output.dim(0) == input.dim(0),
+            "linear_backward_reference wants [N, out] gradients");
+  const int n = input.dim(0);
+  const int out_f = grad_output.dim(1);
+  const int in_f = static_cast<int>(input.size() / zu(n));
+  LHD_CHECK(weight.size() == zu(out_f) * zu(in_f),
+            "linear_backward_reference weight size mismatch");
+  std::vector<double> dx(input.size(), 0.0);
+  std::vector<double> dw(weight.size(), 0.0);
+  std::vector<double> db(zu(out_f), 0.0);
+  for (int s = 0; s < n; ++s) {
+    for (int j = 0; j < out_f; ++j) {
+      const double g = grad_output[zu(s) * zu(out_f) + zu(j)];
+      db[zu(j)] += g;
+      for (int i = 0; i < in_f; ++i) {
+        const std::size_t xi = zu(s) * zu(in_f) + zu(i);
+        const std::size_t wi = zu(j) * zu(in_f) + zu(i);
+        dw[wi] += g * static_cast<double>(input[xi]);
+        dx[xi] += g * static_cast<double>(weight[wi]);
+      }
+    }
+  }
+  return round_grads(input.shape(), dx, dw, db);
+}
+
+void expect_conv2d_backward_parity(const ConvShape& shape, Rng& rng,
+                                   double tol) {
+  nn::Conv2d conv(shape.in_channels, shape.out_channels, shape.kernel,
+                  shape.pad);
+  const std::vector<nn::Param> params = conv.params();
+  for (const nn::Param& p : params) {
+    fill_uniform(rng, p.value->data(), p.value->size());
+  }
+  nn::Tensor in(
+      {shape.batch, shape.in_channels, shape.height, shape.width});
+  fill_uniform(rng, in.data(), in.size());
+  nn::Tensor grad_out({shape.batch, shape.out_channels,
+                       shape.height + 2 * shape.pad - shape.kernel + 1,
+                       shape.width + 2 * shape.pad - shape.kernel + 1});
+  fill_uniform(rng, grad_out.data(), grad_out.size());
+
+  const LayerGrads ref = conv2d_backward_reference(
+      in, *params[0].value, grad_out, shape.kernel, shape.pad);
+  std::ostringstream what;
+  what << "conv2d backward (batch=" << shape.batch
+       << " in_c=" << shape.in_channels << " out_c=" << shape.out_channels
+       << " k=" << shape.kernel << " pad=" << shape.pad << " h=" << shape.height
+       << " w=" << shape.width << ")";
+  expect_backward_matches(conv, in, grad_out, ref, rng, tol, what.str());
+}
+
+void expect_linear_backward_parity(int batch, int in_features,
+                                   int out_features, Rng& rng, double tol) {
+  nn::Linear linear(in_features, out_features);
+  const std::vector<nn::Param> params = linear.params();
+  for (const nn::Param& p : params) {
+    fill_uniform(rng, p.value->data(), p.value->size());
+  }
+  nn::Tensor in({batch, in_features});
+  fill_uniform(rng, in.data(), in.size());
+  nn::Tensor grad_out({batch, out_features});
+  fill_uniform(rng, grad_out.data(), grad_out.size());
+
+  const LayerGrads ref =
+      linear_backward_reference(in, *params[0].value, grad_out);
+  std::ostringstream what;
+  what << "linear backward (batch=" << batch << " in_f=" << in_features
+       << " out_f=" << out_features << ")";
+  expect_backward_matches(linear, in, grad_out, ref, rng, tol, what.str());
 }
 
 namespace {

@@ -160,6 +160,56 @@ nn::Tensor reference_forward(nn::Network& net, const nn::Tensor& input);
 /// contract (see docs/PERFORMANCE.md).
 void expect_nn_kernel_parity(Rng& rng, std::size_t size, double tol = 1e-3);
 
+/// The three gradients one layer's backward() produces, each summed over
+/// the batch where the parameter is shared.
+struct LayerGrads {
+  nn::Tensor input;           ///< dL/d(input), shaped like the input
+  std::vector<float> weight;  ///< dL/dW in the layer's weight layout
+  std::vector<float> bias;    ///< dL/db
+};
+
+/// Double-precision Conv2d backward straight from the definition
+/// out[s][o][y][x] = b[o] + Σ W[o][c][ky][kx] · in[s][c][y+ky−pad][x+kx−pad]:
+/// every (output, tap) pair adds its product to dW, dX and db. Same
+/// layouts as conv2d_reference; `grad_output` is dL/d(out).
+LayerGrads conv2d_backward_reference(const nn::Tensor& input,
+                                     std::span<const float> weight,
+                                     const nn::Tensor& grad_output,
+                                     int kernel, int pad);
+
+/// Double-precision Linear backward from out[s][j] = b[j] + Σ W[j][i]·x[s][i]
+/// over the input flattened to [N, in_features]; weight [out][in].
+LayerGrads linear_backward_reference(const nn::Tensor& input,
+                                     std::span<const float> weight,
+                                     const nn::Tensor& grad_output);
+
+/// One Conv2d shape for expect_conv2d_backward_parity.
+struct ConvShape {
+  int batch = 1;
+  int in_channels = 1;
+  int out_channels = 1;
+  int kernel = 1;
+  int pad = 0;
+  int height = 1;
+  int width = 1;
+};
+
+/// Backward parity for one Conv2d of `shape`: random weights, input and
+/// dL/d(out); parameter gradients pre-seeded non-zero to verify the
+/// accumulate (+=) semantics; forward(training) then backward() must give
+/// the reference's input gradient and seed + reference weight and bias
+/// gradients within |fast − ref| ≤ tol·(1 + max magnitude) per element.
+/// Like the forward oracles, a tolerance, not bit equality: the GEMM sums
+/// in float in blocked order, the reference in double in definition order.
+void expect_conv2d_backward_parity(const ConvShape& shape, Rng& rng,
+                                   double tol = 1e-4);
+
+/// The same check for a Linear(in_features, out_features) on a
+/// [batch, in_features] input.
+void expect_linear_backward_parity(int batch, int in_features,
+                                   int out_features, Rng& rng,
+                                   double tol = 1e-4);
+
 // --- serialization fixpoints ------------------------------------------------
 
 /// write → read → write must reproduce the exact byte stream (the writer

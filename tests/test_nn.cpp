@@ -10,6 +10,7 @@
 #include <span>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -90,6 +91,31 @@ TEST(MaxPool2, RejectsOddDims) {
   MaxPool2 pool;
   Tensor in({1, 1, 3, 4});
   EXPECT_THROW(pool.forward(in, true), Error);
+}
+
+TEST(Backward, RejectsMisShapedGradOutput) {
+  // backward() indexes its forward caches by grad_output's extent: a
+  // gradient of any other shape must throw instead of reading past them.
+  Rng rng(9);
+  Conv2d conv(2, 3, 3, 1);
+  conv.init(rng);
+  (void)conv.forward(Tensor({2, 2, 4, 4}), true);
+  EXPECT_THROW(conv.backward(Tensor({3, 3, 4, 4})), Error);
+  EXPECT_THROW(conv.backward(Tensor({2, 3, 2, 2})), Error);
+
+  Linear lin(6, 4);
+  lin.init(rng);
+  (void)lin.forward(Tensor({2, 6}), true);
+  EXPECT_THROW(lin.backward(Tensor({3, 4})), Error);
+  EXPECT_THROW(lin.backward(Tensor({2, 5})), Error);
+
+  MaxPool2 pool;
+  (void)pool.forward(Tensor({1, 2, 4, 4}), true);
+  EXPECT_THROW(pool.backward(Tensor({1, 2, 4, 4})), Error);
+
+  Dropout drop(0.5);
+  (void)drop.forward(Tensor({2, 8}), true);
+  EXPECT_THROW(drop.backward(Tensor({2, 9})), Error);
 }
 
 TEST(Dropout, EvalModeIsIdentity) {
@@ -638,6 +664,37 @@ TEST(Trainer, RejectsWrongRowSize) {
   EXPECT_THROW(trainer.train({{1.0f, 2.0f}}, {1.0f}, cfg), Error);
 }
 
+TEST(Trainer, SameSeedTrainsBitIdenticalWeights) {
+  // Training is a pure function of (data, config): the second run happens
+  // on a fresh thread, which starts with its own thread_local GEMM
+  // scratch, and must still produce byte-identical weights.
+  Rng rng(21);
+  Rows x;
+  std::vector<float> y;
+  for (int i = 0; i < 40; ++i) {
+    std::vector<float> row(4 * 8 * 8);
+    for (float& v : row) v = static_cast<float>(rng.next_gaussian());
+    x.push_back(std::move(row));
+    y.push_back(i % 3 == 0 ? 1.0f : -1.0f);
+  }
+  TrainConfig cfg;
+  cfg.epochs = 2;
+  cfg.batch = 8;
+  const auto train_bytes = [&] {
+    Network net = make_hotspot_cnn(4, 8);
+    Trainer trainer(&net, {4, 8, 8});
+    trainer.train(x, y, cfg);
+    std::stringstream buf;
+    save_weights(net, buf);
+    return buf.str();
+  };
+  const std::string here = train_bytes();
+  std::string there;
+  std::thread worker([&] { there = train_bytes(); });
+  worker.join();
+  EXPECT_TRUE(here == there) << "weights differ between same-seed runs";
+}
+
 // --------------------------------------------------------------- hotspot --
 
 TEST(HotspotCnn, BuildsWithExpectedParamBudget) {
@@ -659,21 +716,19 @@ TEST(HotspotCnn, RejectsIndivisibleGrid) {
 TEST(HotspotCnn, InferMatchesEvalForwardBitExact) {
   // infer() is the concurrency-safe inference path used by the full-chip
   // scanner; it must reproduce forward(training=false) exactly, including
-  // through batchnorm (running statistics) and dropout (identity).
-  for (const bool batchnorm : {false, true}) {
-    Network net = make_hotspot_cnn(4, 8, batchnorm);
-    Rng rng(17);
-    net.init(rng);
-    Tensor in({3, 4, 8, 8});
-    for (std::size_t i = 0; i < in.size(); ++i) {
-      in[i] = static_cast<float>(rng.next_gaussian());
-    }
-    const Tensor via_forward = net.forward(in, false);
-    const Tensor via_infer = std::as_const(net).infer(in);
-    ASSERT_EQ(via_infer.shape(), via_forward.shape());
-    for (std::size_t i = 0; i < via_forward.size(); ++i) {
-      EXPECT_EQ(via_infer[i], via_forward[i]) << "element " << i;
-    }
+  // through dropout (identity).
+  Network net = make_hotspot_cnn(4, 8);
+  Rng rng(17);
+  net.init(rng);
+  Tensor in({3, 4, 8, 8});
+  for (std::size_t i = 0; i < in.size(); ++i) {
+    in[i] = static_cast<float>(rng.next_gaussian());
+  }
+  const Tensor via_forward = net.forward(in, false);
+  const Tensor via_infer = std::as_const(net).infer(in);
+  ASSERT_EQ(via_infer.shape(), via_forward.shape());
+  for (std::size_t i = 0; i < via_forward.size(); ++i) {
+    EXPECT_EQ(via_infer[i], via_forward[i]) << "element " << i;
   }
 }
 
@@ -819,89 +874,6 @@ TEST(SerializeCorpus, EveryCorpusFileHasARegressionTest) {
     on_disk.insert(entry.path().filename().string());
   }
   EXPECT_EQ(on_disk, covered);
-}
-
-
-// -------------------------------------------------------------- batchnorm --
-
-TEST(BatchNorm, NormalizesTrainingBatchPerChannel) {
-  BatchNorm2d bn(2);
-  Rng rng(3);
-  Tensor in({4, 2, 3, 3});
-  for (std::size_t i = 0; i < in.size(); ++i) {
-    in[i] = static_cast<float>(rng.next_gaussian(5.0, 2.0));
-  }
-  const Tensor out = bn.forward(in, true);
-  for (int c = 0; c < 2; ++c) {
-    double sum = 0, sum2 = 0;
-    int count = 0;
-    for (int s = 0; s < 4; ++s) {
-      for (int i = 0; i < 9; ++i) {
-        const float v = out[static_cast<std::size_t>((s * 2 + c) * 9 + i)];
-        sum += v;
-        sum2 += static_cast<double>(v) * v;
-        ++count;
-      }
-    }
-    const double mean = sum / count;
-    EXPECT_NEAR(mean, 0.0, 1e-4);
-    EXPECT_NEAR(sum2 / count - mean * mean, 1.0, 1e-3);
-  }
-}
-
-TEST(BatchNorm, EvalUsesRunningStatistics) {
-  BatchNorm2d bn(1);
-  Rng rng(4);
-  Tensor in({8, 1, 4, 4});
-  for (std::size_t i = 0; i < in.size(); ++i) {
-    in[i] = static_cast<float>(rng.next_gaussian(3.0, 1.5));
-  }
-  for (int it = 0; it < 50; ++it) (void)bn.forward(in, true);
-  // In eval mode the same input must come out near-normalized because the
-  // running stats converged to the batch stats.
-  const Tensor out = bn.forward(in, false);
-  double sum = 0;
-  for (std::size_t i = 0; i < out.size(); ++i) sum += out[i];
-  EXPECT_NEAR(sum / static_cast<double>(out.size()), 0.0, 0.1);
-}
-
-TEST(BatchNorm, GradientCheckThroughLoss) {
-  Network net;
-  net.add(std::make_unique<Conv2d>(1, 2, 3, 1));
-  net.add(std::make_unique<BatchNorm2d>(2));
-  net.add(std::make_unique<Relu>());
-  net.add(std::make_unique<Linear>(2 * 4 * 4, 2));
-  Rng rng(15);
-  net.init(rng);
-  Tensor in({3, 1, 4, 4});
-  for (std::size_t i = 0; i < in.size(); ++i) {
-    in[i] = static_cast<float>(rng.next_gaussian());
-  }
-  Tensor targets({3, 2});
-  targets[0] = 1;
-  targets[3] = 1;
-  targets[5] = 1;
-  // Training mode: the numeric gradient recomputes batch statistics on
-  // every perturbed forward, exactly what the analytic backward models.
-  check_network_gradients(net, in, targets, 5e-3, /*training=*/true);
-}
-
-TEST(BatchNorm, HotspotCnnVariantTrains) {
-  Network net = make_hotspot_cnn(16, 16, /*batchnorm=*/true);
-  Rng rng(1);
-  net.init(rng);
-  Tensor in({4, 16, 16, 16});
-  for (std::size_t i = 0; i < in.size(); ++i) {
-    in[i] = static_cast<float>(rng.next_double());
-  }
-  const Tensor out = net.forward(in, true);
-  EXPECT_EQ(out.shape(), (std::vector<int>{4, 2}));
-}
-
-TEST(BatchNorm, RejectsWrongChannels) {
-  BatchNorm2d bn(3);
-  Tensor in({1, 2, 4, 4});
-  EXPECT_THROW(bn.forward(in, true), Error);
 }
 
 TEST(Trainer, LrDecayShrinksStepsAndStillLearns) {

@@ -2,9 +2,9 @@
 // loss. Analytic backward() gradients are compared against central
 // differences of a scalar loss L = sum_i c_i * out_i (fixed random
 // coefficients), for both the input gradient and every parameter
-// gradient. The forward being differentiated is the one production runs
-// (the blocked GEMM path), which the nn-kernel-parity property holds to
-// testkit's reference loops.
+// gradient. The forward and backward being checked are the ones production
+// runs (the blocked GEMM path), which the nn-kernel-parity and
+// nn-backward-parity properties hold to testkit's reference loops.
 
 #include <gtest/gtest.h>
 
