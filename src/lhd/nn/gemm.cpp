@@ -99,8 +99,10 @@ void micro_kernel(int kc, const float* apanel, const float* bpanel, float* c,
 
 /// micro_kernel twin that reads B in place (row-major, stride ldb) instead
 /// of from a packed panel. Only called on full kNR-wide tiles, so every
-/// bv[q] read stays inside the matrix; same accumulation order as the
-/// packed kernel, so results are bit-identical.
+/// bv[q] read stays inside the matrix. Same accumulation order as the
+/// packed kernel, and the same loop shape, so the compiler makes the same
+/// FMA-contraction choice for both: results are bit-identical, which the
+/// batched vs per-sample score contract (docs/PERFORMANCE.md) rests on.
 void micro_kernel_direct_b(int kc, const float* apanel, const float* b,
                            int ldb, float* c, int ldc, int rows) {
   float acc[kMR][kNR] = {};
@@ -122,55 +124,12 @@ void micro_kernel_direct_b(int kc, const float* apanel, const float* b,
   }
 }
 
-/// Single-row C += a · Bᵀ — the batch-1 Linear shape (m = 1, trans_b).
-/// The blocked path is pure overhead here: it packs a 1 × k A block into
-/// kMR-row slivers that are 5/6 zeros and transpose-packs the whole weight
-/// matrix into scratch to feed a microkernel computing 6 rows of which 5
-/// are discarded. Instead, gather each p-row of the kNR-column tile into a
-/// stack-local `btile` as it is consumed — the only "packing" left is one
-/// register-resident row, never written to memory scratch.
-///
-/// Bit-equality contract (docs/PERFORMANCE.md): batched and per-sample
-/// scores must agree bit-for-bit. Matching the accumulation *order* (kKC
-/// chunks ascending, p ascending within a chunk, one chunk total added to
-/// c[j] at a time) is necessary but NOT sufficient: the accumulator loop
-/// must also have the same shape as micro_kernel's inner loop, so the
-/// compiler makes the same FMA-contraction choice for both. A plain
-/// single-float dot-product chain here measurably diverges — GCC -O3
-/// vectorizes that reduction in-order *without* contracting, while the
-/// microkernel's independent fixed-width accumulators contract to FMA,
-/// and fma(a,b,acc) rounds once where a*b+acc rounds twice. Hence the
-/// fixed kNR-wide `acc[] += av * btile[]` below, structurally identical
-/// to micro_kernel's q-loop, zero-padded tail and all. Covered by
-/// Gemm.BatchOneRowDirectBitEqualsBlockedRow and the nn-kernel-parity
-/// oracle's memcmp case.
-void gemm_row_direct(int n, int k, const float* a, const float* b, int ldb,
-                     float* c) {
-  for (int p0 = 0; p0 < k; p0 += kKC) {
-    const int kc = std::min(kKC, k - p0);
-    for (int j0 = 0; j0 < n; j0 += kNR) {
-      const int cols = std::min(kNR, n - j0);
-      float acc[kNR] = {};
-      for (int p = 0; p < kc; ++p) {
-        const float av = a[uz(p0 + p)];
-        float btile[kNR];
-        for (int q = 0; q < kNR; ++q) {
-          btile[q] =
-              q < cols ? b[uz(j0 + q) * uz(ldb) + uz(p0 + p)] : 0.0f;
-        }
-        for (int q = 0; q < kNR; ++q) {
-          acc[q] += av * btile[q];
-        }
-      }
-      for (int q = 0; q < cols; ++q) {
-        c[j0 + q] += acc[q];
-      }
-    }
-  }
-}
+}  // namespace
 
-void gemm_blocked(int m, int n, int k, const float* a, int lda,
-                  const float* b, int ldb, bool trans_b, float* c, int ldc) {
+void gemm(int m, int n, int k, const float* a, int lda, const float* b,
+          int ldb, bool trans_b, float* c, int ldc) {
+  if (m <= 0 || n <= 0) return;
+  if (k <= 0) return;  // C += A*B with empty K is a no-op
   thread_local AlignedVec apack;
   thread_local AlignedVec bpack;
   apack.resize(uz(kMC) * uz(kKC));
@@ -181,7 +140,8 @@ void gemm_blocked(int m, int n, int k, const float* a, int lda,
   // reuse. Read B in place instead (possible when it isn't transposed: the
   // microkernel's kNR-wide rows are contiguous in memory), and pack only
   // the n-tail sliver, whose zero-padding the direct kernel can't provide.
-  // The im2col-lowered convolutions (m = out channels, n = batch·H·W) are
+  // The im2col-lowered convolutions (m = out channels, n = batch·H·W) and
+  // Linear up to kMC samples (m = batch, B = the [in][out] weight) are
   // exactly this shape.
   const bool direct_b = !trans_b && m <= kMC;
 
@@ -220,19 +180,6 @@ void gemm_blocked(int m, int n, int k, const float* a, int lda,
       }
     }
   }
-}
-
-}  // namespace
-
-void gemm(int m, int n, int k, const float* a, int lda, const float* b,
-          int ldb, bool trans_b, float* c, int ldc) {
-  if (m <= 0 || n <= 0) return;
-  if (k <= 0) return;  // C += A*B with empty K is a no-op
-  if (m == 1 && trans_b) {
-    gemm_row_direct(n, k, a, b, ldb, c);
-    return;
-  }
-  gemm_blocked(m, n, k, a, lda, b, ldb, trans_b, c, ldc);
 }
 
 }  // namespace lhd::nn

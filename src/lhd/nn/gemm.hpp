@@ -11,7 +11,8 @@ namespace lhd::nn {
 /// times B, where B is
 ///  * trans_b == false: k×n row-major with leading dimension ldb, or
 ///  * trans_b == true:  n×k row-major with leading dimension ldb, used as
-///    its transpose (the Linear layer's weight matrix, untransposed).
+///    its transpose (the backward passes' products against a weight or
+///    im2col matrix); packing absorbs the transpose.
 /// Accumulates into C, so callers seed C with the bias. Any m, n, k ≥ 0;
 /// pointers may be unaligned (packing copies into aligned scratch).
 void gemm(int m, int n, int k, const float* a, int lda, const float* b,

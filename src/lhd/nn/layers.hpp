@@ -8,6 +8,7 @@
 
 #include <cstddef>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -16,11 +17,22 @@
 
 namespace lhd::nn {
 
-/// A trainable parameter: the value vector and its gradient accumulator.
+/// A trainable parameter: the value vector and its gradient accumulator,
+/// both in the layer's storage layout. With `stream_rows` = 0 that is also
+/// the weight stream's order (serialize.hpp). With `stream_rows` = R > 0,
+/// `value` holds the transpose of the [R × size/R] row-major matrix the
+/// stream stores: Linear keeps its [out][in] weight as [in][out].
 struct Param {
   std::vector<float>* value = nullptr;
   std::vector<float>* grad = nullptr;
+  int stream_rows = 0;
 };
+
+/// `v`, a value or gradient of `p` in storage layout, in stream order.
+std::vector<float> to_stream_order(const Param& p, std::span<const float> v);
+/// The inverse: stream-order data `s` in `p`'s storage layout.
+std::vector<float> from_stream_order(const Param& p,
+                                     std::span<const float> s);
 
 class Layer {
  public:
@@ -127,7 +139,9 @@ class Linear final : public Layer {
   Tensor apply_gemm(const Tensor& input) const;
 
   int in_f_, out_f_;
-  std::vector<float> weight_, weight_grad_;  // [out_f][in_f]
+  // [in_f][out_f]: the GEMM's k × n B operand, read in place. The weight
+  // stream stores the transpose, [out_f][in_f] (Param::stream_rows).
+  std::vector<float> weight_, weight_grad_;
   std::vector<float> bias_, bias_grad_;
   Tensor input_;
   std::vector<int> in_shape_;

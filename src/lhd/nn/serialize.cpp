@@ -52,9 +52,10 @@ void save_weights(Network& net, std::ostream& out) {
   const auto count = static_cast<std::uint32_t>(params.size());
   out.write(reinterpret_cast<const char*>(&count), sizeof(count));
   for (const auto& p : params) {
-    const auto n = static_cast<std::uint64_t>(p.value->size());
+    const std::vector<float> blob = to_stream_order(p, *p.value);
+    const auto n = static_cast<std::uint64_t>(blob.size());
     out.write(reinterpret_cast<const char*>(&n), sizeof(n));
-    out.write(reinterpret_cast<const char*>(p.value->data()),
+    out.write(reinterpret_cast<const char*>(blob.data()),
               static_cast<std::streamsize>(n * sizeof(float)));
   }
   LHD_CHECK(out.good(), "weight write failed");
@@ -107,7 +108,7 @@ void load_weights(Network& net, std::istream& in) {
                  "parameter data");
   }
   for (std::size_t i = 0; i < params.size(); ++i) {
-    *params[i].value = std::move(staged[i]);
+    *params[i].value = from_stream_order(params[i], staged[i]);
   }
 }
 

@@ -1,7 +1,9 @@
 #pragma once
 // Network weight (de)serialization. The architecture is not encoded —
 // callers rebuild the same topology (e.g. via make_hotspot_cnn) and load
-// weights into it; sizes are checked parameter-by-parameter.
+// weights into it; sizes are checked parameter-by-parameter. Each
+// parameter is stored in stream order (see Param::stream_rows), so a
+// layer's in-memory layout can change without changing the format.
 
 #include <iosfwd>
 #include <string>

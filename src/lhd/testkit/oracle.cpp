@@ -377,7 +377,8 @@ void expect_backward_matches(nn::Layer& layer, const nn::Tensor& input,
                              const LayerGrads& ref, Rng& rng, double tol,
                              const std::string& what) {
   const std::vector<nn::Param> params = layer.params();
-  std::vector<std::vector<float>> want = {ref.weight, ref.bias};
+  std::vector<std::vector<float>> want = {
+      nn::from_stream_order(params[0], ref.weight), ref.bias};
   for (std::size_t p = 0; p < params.size(); ++p) {
     fill_uniform(rng, params[p].grad->data(), params[p].grad->size());
     for (std::size_t i = 0; i < want[p].size(); ++i) {
@@ -475,9 +476,11 @@ nn::Tensor reference_forward(nn::Network& net, const nn::Tensor& input) {
                            conv->out_channels(), conv->kernel(), conv->pad());
     } else if (auto* linear = dynamic_cast<nn::Linear*>(&layer)) {
       // Linear flattens any input to [N, in_features]: seed the output
-      // rows with the bias, then accumulate x · Wᵀ.
+      // rows with the bias, then accumulate x · Wᵀ over the [out][in]
+      // weight the stream stores.
       const std::vector<nn::Param> params = linear->params();
-      const std::vector<float>& weight = *params[0].value;
+      const std::vector<float> weight =
+          nn::to_stream_order(params[0], *params[0].value);
       const std::vector<float>& bias = *params[1].value;
       const int n = t.dim(0);
       const int out_f = static_cast<int>(bias.size());
@@ -556,48 +559,52 @@ void expect_nn_kernel_parity(Rng& rng, std::size_t size, double tol) {
                   what.str().c_str());
   }
 
-  // 3. The batch-1 Linear shape (m = 1, trans_b): gemm() takes the
-  //    no-packing row-direct path. Checked two ways: close to the naive
-  //    reference, and — the property the per-sample vs batched score
-  //    contract rests on — bit-identical to the same row computed by the
-  //    blocked multi-row path. k deliberately straddles the kKC = 256
-  //    panel edge so the chunked accumulation order is exercised.
+  // 3. The batch-1 Linear shape (m = 1), both B orientations. Checked two
+  //    ways: close to the naive reference, and — the property the
+  //    per-sample vs batched score contract rests on — bit-identical to
+  //    the same row computed inside a multi-row product. k deliberately
+  //    straddles the kKC = 256 panel edge so the chunked accumulation
+  //    order is exercised.
   {
     const int n = static_cast<int>(1 + rng.next_below(20 + size));
     const int k = static_cast<int>(200 + rng.next_below(120 + 4 * size));
     const int rows = static_cast<int>(2 + rng.next_below(3));
     std::vector<float> a(zu(rows) * zu(k));
-    std::vector<float> b(zu(n) * zu(k));  // n×k weight matrix, used as Bᵀ
+    std::vector<float> b(zu(n) * zu(k));  // k×n, or n×k used as Bᵀ
     std::vector<float> bias(zu(n));
     fill_uniform(rng, a.data(), a.size());
     fill_uniform(rng, b.data(), b.size());
     fill_uniform(rng, bias.data(), bias.size());
 
-    std::vector<float> c_direct = bias;  // C seeded with the bias, as Linear does
-    nn::gemm(1, n, k, a.data(), k, b.data(), k, /*trans_b=*/true,
-             c_direct.data(), n);
-    std::vector<float> c_batch(zu(rows) * zu(n));
-    for (int r = 0; r < rows; ++r) {
-      std::copy(bias.begin(), bias.end(), c_batch.begin() + zu(r) * zu(n));
-    }
-    nn::gemm(rows, n, k, a.data(), k, b.data(), k, /*trans_b=*/true,
-             c_batch.data(), n);
-    std::vector<float> c_ref = bias;
-    gemm_reference(1, n, k, a.data(), k, b.data(), k, /*trans_b=*/true,
-                   c_ref.data(), n);
+    for (const bool trans_b : {false, true}) {
+      const int ldb = trans_b ? k : n;
+      // C seeded with the bias, as Linear does.
+      std::vector<float> c_one = bias;
+      nn::gemm(1, n, k, a.data(), k, b.data(), ldb, trans_b, c_one.data(), n);
+      std::vector<float> c_batch(zu(rows) * zu(n));
+      for (int r = 0; r < rows; ++r) {
+        std::copy(bias.begin(), bias.end(), c_batch.begin() + zu(r) * zu(n));
+      }
+      nn::gemm(rows, n, k, a.data(), k, b.data(), ldb, trans_b,
+               c_batch.data(), n);
+      std::vector<float> c_ref = bias;
+      gemm_reference(1, n, k, a.data(), k, b.data(), ldb, trans_b,
+                     c_ref.data(), n);
 
-    std::ostringstream what;
-    what << "batch-1 row-direct GEMM (n=" << n << " k=" << k << ")";
-    compare_close(c_direct.data(), c_ref.data(), zu(n), tol,
-                  what.str().c_str());
-    if (std::memcmp(c_direct.data(), c_batch.data(),
-                    zu(n) * sizeof(float)) != 0) {
-      std::ostringstream os;
-      os << what.str()
-         << ": row 0 is not bit-identical to the blocked multi-row path "
-            "(rows="
-         << rows << ") — the per-sample vs batched score contract is broken";
-      oracle_fail(os.str());
+      std::ostringstream what;
+      what << "batch-1 GEMM row (n=" << n << " k=" << k
+           << " trans_b=" << trans_b << ")";
+      compare_close(c_one.data(), c_ref.data(), zu(n), tol,
+                    what.str().c_str());
+      if (std::memcmp(c_one.data(), c_batch.data(), zu(n) * sizeof(float)) !=
+          0) {
+        std::ostringstream os;
+        os << what.str()
+           << ": row 0 is not bit-identical to the same row of a "
+              "multi-row product (rows="
+           << rows << ") — the per-sample vs batched score contract is broken";
+        oracle_fail(os.str());
+      }
     }
   }
 }
@@ -722,8 +729,8 @@ void expect_linear_backward_parity(int batch, int in_features,
   nn::Tensor grad_out({batch, out_features});
   fill_uniform(rng, grad_out.data(), grad_out.size());
 
-  const LayerGrads ref =
-      linear_backward_reference(in, *params[0].value, grad_out);
+  const LayerGrads ref = linear_backward_reference(
+      in, nn::to_stream_order(params[0], *params[0].value), grad_out);
   std::ostringstream what;
   what << "linear backward (batch=" << batch << " in_f=" << in_features
        << " out_f=" << out_features << ")";

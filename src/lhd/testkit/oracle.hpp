@@ -141,8 +141,9 @@ nn::Tensor conv2d_reference(const nn::Tensor& input,
 
 /// The reference forward Network::infer is compared against: walks
 /// `net`'s layers, sending each Conv2d through conv2d_reference and each
-/// Linear through gemm_reference with the layer's own params(); every
-/// other layer runs its own infer().
+/// Linear through gemm_reference with the layer's own params(), its
+/// weight read in stream order ([out][in]); every other layer runs its own
+/// infer().
 nn::Tensor reference_forward(nn::Network& net, const nn::Tensor& input);
 
 /// nn kernel parity against the oracles above, three checks per call:
@@ -152,8 +153,9 @@ nn::Tensor reference_forward(nn::Network& net, const nn::Tensor& input);
 ///   2. a random conv→relu→pool→linear stack with random (odd-friendly)
 ///      channel counts, weights and batch: Network::infer() vs
 ///      reference_forward();
-///   3. the batch-1 row-direct GEMM: close to gemm_reference and
-///      bit-identical to the same row computed by the blocked path.
+///   3. a batch-1 (m = 1) GEMM, both B orientations: close to
+///      gemm_reference and bit-identical to the same row inside a
+///      multi-row product.
 /// Agreement with the oracles is tolerance-based — |fast - ref| ≤
 /// tol·(1 + max magnitude) per element — because they accumulate in
 /// different orders and precisions; bit equality is deliberately NOT the
@@ -164,7 +166,7 @@ void expect_nn_kernel_parity(Rng& rng, std::size_t size, double tol = 1e-3);
 /// the batch where the parameter is shared.
 struct LayerGrads {
   nn::Tensor input;           ///< dL/d(input), shaped like the input
-  std::vector<float> weight;  ///< dL/dW in the layer's weight layout
+  std::vector<float> weight;  ///< dL/dW in the weight stream's order
   std::vector<float> bias;    ///< dL/db
 };
 
