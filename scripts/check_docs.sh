@@ -11,7 +11,10 @@
 #      triage guide, or
 #   5. a serve protocol op shipped in src/lhd/serve/protocol.hpp (the
 #      kOpNames block) has no backticked mention in docs/SERVE.md —
-#      adding a wire op means writing it down.
+#      adding a wire op means writing it down, or
+#   6. a backticked `Suite.Test` name in README.md or docs/*.md has no
+#      TEST*(Suite, Test) under tests/ — docs must not name a test that
+#      was renamed or deleted.
 # Run from anywhere: paths resolve relative to this script's repo root.
 
 check_name="check_docs"
@@ -94,4 +97,18 @@ if [ -f "$protocol_hpp" ]; then
   fi
 fi
 
-finish "update README.md's module map / knobs table, docs/STATIC_ANALYSIS.md's rule-id coverage, docs/SERVE.md's op coverage, or add the missing @file header comments"
+# --- 6. every test the docs name exists -------------------------------------
+# A backticked `Suite.Test` (both parts starting upper-case, so file names
+# such as `DESIGN.md` do not match) must be declared as TEST(Suite, Test),
+# TEST_F or TEST_P somewhere under tests/.
+test_names="$(grep -ohE '`[A-Z][A-Za-z0-9_]*\.[A-Z][A-Za-z0-9_]*`' \
+  "$readme" "$root"/docs/*.md | tr -d '`' | sort -u)"
+for test_name in $test_names; do
+  suite="${test_name%%.*}"
+  test="${test_name#*.}"
+  if ! grep -rqE "TEST(_F|_P)?\($suite, *$test\)" "$root/tests"; then
+    fail "docs name test '$test_name', which no TEST*($suite, $test) under tests/ declares"
+  fi
+done
+
+finish "update README.md's module map / knobs table, docs/STATIC_ANALYSIS.md's rule-id coverage, docs/SERVE.md's op coverage or the test names the docs cite, or add the missing @file header comments"
