@@ -196,6 +196,7 @@ void BM_LinearForwardFast(benchmark::State& state) {
 BENCHMARK(BM_LinearForwardFast)
     ->Args({512, 64, 1})
     ->Args({512, 64, 32})
+    ->Args({64, 2, 1})
     ->Args({64, 2, 32});
 
 /// Whole hotspot-CNN inference, batch = range 0 — the end-to-end number
