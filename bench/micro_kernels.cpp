@@ -1,9 +1,9 @@
 // Kernel-level micro benchmarks: rasterization, Gaussian imaging, resist
 // thresholding, hotspot-oracle labeling, CNN forward/backward, the nn
-// layer forwards, and two production kernels against their testkit
-// references — the block DCT tensor (BM_DctTensor vs BM_DctTensorRef) and
-// the blocked GEMM (BM_GemmFast vs BM_GemmRef, per shape) — so each
-// speedup is measured.
+// layer forwards, the conv backward, and two production kernels against
+// their testkit references — the block DCT tensor (BM_DctTensor vs
+// BM_DctTensorRef) and the blocked GEMM (BM_GemmFast vs BM_GemmRef, per
+// shape) — so each speedup is measured.
 //
 // Alongside the console output every run lands as one phase in
 // BENCH_micro_kernels.json (obs::RunReport): name, real/CPU ns per
@@ -177,6 +177,35 @@ BENCHMARK(BM_ConvForwardFast)
     ->Args({16, 24, 16, 32})
     ->Args({24, 24, 16, 32})
     ->Args({24, 32, 8, 32});
+
+/// Conv2d backward at {in_c, out_c, side, batch, input_grad} = ranges
+/// 0..4, off one training forward: the weight/bias gradients always, the
+/// input gradient (dcol GEMM + col2im) only when input_grad is 1.
+void BM_ConvBackward(benchmark::State& state) {
+  const int in_c = static_cast<int>(state.range(0));
+  const int out_c = static_cast<int>(state.range(1));
+  const int side = static_cast<int>(state.range(2));
+  const int batch = static_cast<int>(state.range(3));
+  const bool input_grad = state.range(4) != 0;
+  nn::Conv2d conv(in_c, out_c, 3, 1);
+  Rng rng(11);
+  conv.init(rng);
+  nn::Tensor in({batch, in_c, side, side});
+  fill_tensor(rng, in);
+  nn::Tensor gout(conv.forward(in, true).shape());
+  fill_tensor(rng, gout);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(conv.backward(gout, input_grad));
+  }
+}
+// The hotspot CNN's three conv layers at grid 16, batch 32, each with its
+// input gradient, plus conv1 as Network::backward runs it (no input
+// gradient: it is the first layer).
+BENCHMARK(BM_ConvBackward)
+    ->Args({16, 24, 16, 32, 1})
+    ->Args({16, 24, 16, 32, 0})
+    ->Args({24, 24, 16, 32, 1})
+    ->Args({24, 32, 8, 32, 1});
 
 /// Linear forward at {in_f, out_f, batch} = ranges 0..2.
 void BM_LinearForwardFast(benchmark::State& state) {

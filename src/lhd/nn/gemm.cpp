@@ -53,20 +53,26 @@ void pack_a(const float* a, int lda, int i0, int p0, int mc, int kc,
 /// the transpose so the microkernel never sees it.
 void pack_b(const float* b, int ldb, bool trans_b, int p0, int j0, int kc,
             int nc, float* dst) {
-  for (int j = 0; j < nc; j += kNR) {
+  for (int j = 0; j < nc; j += kNR, dst += uz(kc) * uz(kNR)) {
     const int cols = std::min(kNR, nc - j);
-    for (int p = 0; p < kc; ++p) {
-      if (trans_b) {
-        for (int q = 0; q < kNR; ++q) {
-          *dst++ = q < cols
-                       ? b[uz(j0 + j + q) * uz(ldb) + uz(p0 + p)]
-                       : 0.0f;
+    if (trans_b) {
+      // Sliver column q is source row j0+j+q: read each row contiguously
+      // and write it down the (L1-resident) sliver with stride kNR, rather
+      // than gathering kNR rows ldb apart for every p.
+      for (int q = 0; q < kNR; ++q) {
+        float* out = dst + q;
+        if (q < cols) {
+          const float* src = b + uz(j0 + j + q) * uz(ldb) + uz(p0);
+          for (int p = 0; p < kc; ++p) out[uz(p) * uz(kNR)] = src[p];
+        } else {
+          for (int p = 0; p < kc; ++p) out[uz(p) * uz(kNR)] = 0.0f;
         }
-      } else {
+      }
+    } else {
+      for (int p = 0; p < kc; ++p) {
         const float* src = b + uz(p0 + p) * uz(ldb) + uz(j0 + j);
-        for (int q = 0; q < kNR; ++q) {
-          *dst++ = q < cols ? src[q] : 0.0f;
-        }
+        float* out = dst + uz(p) * uz(kNR);
+        for (int q = 0; q < kNR; ++q) out[q] = q < cols ? src[q] : 0.0f;
       }
     }
   }

@@ -115,12 +115,15 @@ void Conv2d::im2col(const float* src, int h, int w, float* col,
         // Whole top/bottom padding lines.
         std::fill_n(dst, uz(ylo) * uz(ow), 0.0f);
         std::fill_n(dst + uz(yhi) * uz(ow), uz(oh - yhi) * uz(ow), 0.0f);
-        if (ow == w && yhi > ylo) {
+        if (ow == w && yhi > ylo && xhi > xlo) {
           // One flat copy for rows [ylo, yhi): dst[y*ow + x] reads
           // plane[(y+ky-pad)*w + x+shift], and with ow == w both sides
           // advance by w per line. Trim the head/tail so every read
           // stays inside the plane, then re-zero the margin columns
-          // (which the flat copy filled with wrapped neighbours).
+          // (which the flat copy filled with wrapped neighbours). The
+          // trim is |shift| only while the x range is non-empty: a tap
+          // that misses every column (|shift| ≥ w, a kernel wider than
+          // the input) takes the per-line path, which reads nothing.
           const std::ptrdiff_t base =
               static_cast<std::ptrdiff_t>(ylo + ky - pad_) * w + shift;
           const std::size_t lead = uz(shift < 0 ? xlo : 0);
@@ -155,20 +158,31 @@ void Conv2d::im2col(const float* src, int h, int w, float* col,
 void Conv2d::col2im(const float* col, int h, int w, float* dst) const {
   const int oh = h + 2 * pad_ - k_ + 1;
   const int ow = w + 2 * pad_ - k_ + 1;
+  // The inverse of im2col's row runs: each (c, ky, kx) row adds its
+  // in-range [ylo, yhi) × [xlo, xhi) window onto the plane, one
+  // branch-free run per line. Every destination element still receives
+  // its adds in (c, ky, kx) order, so the sums match a per-element
+  // scatter bit for bit.
   std::size_t row = 0;
   for (int c = 0; c < in_c_; ++c) {
     float* plane = dst + static_cast<std::size_t>(c) * h * w;
     for (int ky = 0; ky < k_; ++ky) {
+      // y + ky - pad_ lands in [0, h) for y in [ylo, yhi).
+      const int ylo = std::clamp(pad_ - ky, 0, oh);
+      const int yhi = std::clamp(h + pad_ - ky, ylo, oh);
       for (int kx = 0; kx < k_; ++kx, ++row) {
-        const float* src = col + row * static_cast<std::size_t>(oh) * ow;
-        for (int y = 0; y < oh; ++y) {
-          const int sy = y + ky - pad_;
-          if (sy < 0 || sy >= h) continue;
-          for (int x = 0; x < ow; ++x) {
-            const int sx = x + kx - pad_;
-            if (sx < 0 || sx >= w) continue;
-            plane[sy * w + sx] += src[y * ow + x];
-          }
+        // x + kx - pad_ lands in [0, w) for x in [xlo, xhi).
+        const int xlo = std::clamp(pad_ - kx, 0, ow);
+        const int xhi = std::clamp(w + pad_ - kx, xlo, ow);
+        if (xhi == xlo) continue;
+        const std::size_t run = uz(xhi - xlo);
+        const float* src = col + row * uz(oh) * uz(ow) + uz(xlo);
+        for (int y = ylo; y < yhi; ++y) {
+          // Formed at x = xlo, so the pointer never leaves the plane.
+          float* line = plane + uz(y + ky - pad_) * uz(w) +
+                        uz(xlo + kx - pad_);
+          const float* sline = src + uz(y) * uz(ow);
+          for (std::size_t x = 0; x < run; ++x) line[x] += sline[x];
         }
       }
     }
@@ -190,15 +204,9 @@ Tensor Conv2d::apply(const Tensor& input) const {
   const int oh = input.dim(2) + 2 * pad_ - k_ + 1;
   const int ow = input.dim(3) + 2 * pad_ - k_ + 1;
   LHD_CHECK(oh > 0 && ow > 0, "conv output collapsed to zero");
-  return apply_gemm(input);
-}
-
-Tensor Conv2d::apply_gemm(const Tensor& input) const {
   const int n = input.dim(0);
   const int h = input.dim(2);
   const int w = input.dim(3);
-  const int oh = h + 2 * pad_ - k_ + 1;
-  const int ow = w + 2 * pad_ - k_ + 1;
   const int krows = in_c_ * k_ * k_;
   const std::size_t spatial = uz(oh) * uz(ow);
   const std::size_t sample = uz(in_c_) * uz(h) * uz(w);
@@ -254,7 +262,7 @@ Tensor Conv2d::apply_gemm(const Tensor& input) const {
   return out;
 }
 
-Tensor Conv2d::backward(const Tensor& grad_output) {
+Tensor Conv2d::backward(const Tensor& grad_output, bool input_grad) {
   const int n = input_.dim(0);
   const int h = input_.dim(2);
   const int w = input_.dim(3);
@@ -265,12 +273,17 @@ Tensor Conv2d::backward(const Tensor& grad_output) {
   const int spatial = oh * ow;
   const std::size_t sample = uz(in_c_) * uz(h) * uz(w);
 
-  // Wᵀ [krows × out_c], so dcol = Wᵀ · gout is a row-major GEMM.
-  const std::vector<float> weight_t = transposed(weight_, uz(out_c_));
-
-  Tensor grad_in(input_.shape());
+  // Wᵀ [krows × out_c], so dcol = Wᵀ · gout is a row-major GEMM. None of
+  // the input-gradient work runs when nobody reads it.
+  std::vector<float> weight_t;
+  Tensor grad_in;
   std::vector<float> col(uz(krows) * uz(spatial));
-  std::vector<float> col_grad(col.size());
+  std::vector<float> col_grad;
+  if (input_grad) {
+    weight_t = transposed(weight_, uz(out_c_));
+    grad_in = Tensor(input_.shape());
+    col_grad.resize(col.size());
+  }
   for (int s = 0; s < n; ++s) {
     const float* gout = grad_output.data() + uz(s) * uz(out_c_) * uz(spatial);
     for (int oc = 0; oc < out_c_; ++oc) {
@@ -283,6 +296,7 @@ Tensor Conv2d::backward(const Tensor& grad_output) {
     im2col(input_.data() + uz(s) * sample, h, w, col.data(), uz(spatial));
     gemm(out_c_, krows, spatial, gout, spatial, col.data(), spatial,
          /*trans_b=*/true, weight_grad_.data(), krows);
+    if (!input_grad) continue;
     // dcol = Wᵀ · gout, scattered back onto the input planes by col2im.
     std::fill(col_grad.begin(), col_grad.end(), 0.0f);
     gemm(krows, spatial, out_c_, weight_t.data(), out_c_, gout, spatial,
@@ -313,7 +327,7 @@ Tensor Relu::infer(const Tensor& input) const {
   return out;
 }
 
-Tensor Relu::backward(const Tensor& grad_output) {
+Tensor Relu::backward(const Tensor& grad_output, bool /*input_grad*/) {
   LHD_CHECK(grad_output.size() == mask_.size(), "relu backward shape mismatch");
   Tensor grad = grad_output;
   for (std::size_t i = 0; i < grad.size(); ++i) {
@@ -373,7 +387,7 @@ Tensor MaxPool2::apply(const Tensor& input, std::vector<int>* argmax) const {
   return out;
 }
 
-Tensor MaxPool2::backward(const Tensor& grad_output) {
+Tensor MaxPool2::backward(const Tensor& grad_output, bool /*input_grad*/) {
   std::vector<int> out_shape = in_shape_;
   if (out_shape.size() == 4) {
     out_shape[2] /= 2;
@@ -426,14 +440,9 @@ Tensor Linear::apply(const Tensor& input) const {
   LHD_CHECK_MSG(input.size() == static_cast<std::size_t>(n) * in_f_,
                 "linear expects " << in_f_ << " features, got "
                                   << input.size() / static_cast<std::size_t>(n));
-  return apply_gemm(input);
-}
-
-Tensor Linear::apply_gemm(const Tensor& input) const {
   // out[n × out_f] = x[n × in_f] · W[in_f × out_f] + b. W is already the
   // GEMM's row-major B operand, so up to kMC rows (batch 1 included) the
   // microkernel reads it in place, unpacked.
-  const int n = input.dim(0);
   Tensor out({n, out_f_});
   for (int s = 0; s < n; ++s) {
     std::copy(bias_.begin(), bias_.end(),
@@ -444,7 +453,7 @@ Tensor Linear::apply_gemm(const Tensor& input) const {
   return out;
 }
 
-Tensor Linear::backward(const Tensor& grad_output) {
+Tensor Linear::backward(const Tensor& grad_output, bool input_grad) {
   const int n = input_.dim(0);
   check_grad_shape("linear", grad_output, {n, out_f_});
   const float* g = grad_output.data();
@@ -458,6 +467,7 @@ Tensor Linear::backward(const Tensor& grad_output) {
       transposed({input_.data(), input_.size()}, uz(n));
   gemm(in_f_, out_f_, n, x_t.data(), n, g, out_f_, /*trans_b=*/false,
        weight_grad_.data(), out_f_);
+  if (!input_grad) return {};
   // dX = g · Wᵀ.
   Tensor grad_in({n, in_f_});
   gemm(n, in_f_, out_f_, g, out_f_, weight_.data(), out_f_, /*trans_b=*/true,
@@ -498,7 +508,7 @@ Tensor Dropout::forward(const Tensor& input, bool training) {
 
 Tensor Dropout::infer(const Tensor& input) const { return input; }
 
-Tensor Dropout::backward(const Tensor& grad_output) {
+Tensor Dropout::backward(const Tensor& grad_output, bool /*input_grad*/) {
   check_grad_shape("dropout", grad_output, in_shape_);
   Tensor grad = grad_output;
   const auto scale = static_cast<float>(1.0 / (1.0 - p_));

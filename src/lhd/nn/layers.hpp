@@ -50,8 +50,12 @@ class Layer {
   virtual Tensor infer(const Tensor& input) const = 0;
 
   /// Backward pass: takes dL/d(output), accumulates parameter gradients,
-  /// returns dL/d(input).
-  virtual Tensor backward(const Tensor& grad_output) = 0;
+  /// returns dL/d(input). With `input_grad` false the caller will not read
+  /// dL/d(input) (the network's first layer): a layer may skip computing
+  /// it and return an empty tensor, as Conv2d and Linear do. Parameter
+  /// gradients accumulate the same either way.
+  virtual Tensor backward(const Tensor& grad_output,
+                          bool input_grad = true) = 0;
 
   /// Trainable parameters (empty for stateless layers).
   virtual std::vector<Param> params() { return {}; }
@@ -68,7 +72,8 @@ class Conv2d final : public Layer {
   std::string name() const override { return "conv2d"; }
   Tensor forward(const Tensor& input, bool training) override;
   Tensor infer(const Tensor& input) const override;
-  Tensor backward(const Tensor& grad_output) override;
+  Tensor backward(const Tensor& grad_output,
+                  bool input_grad = true) override;
   std::vector<Param> params() override;
   void init(Rng& rng) override;
 
@@ -78,11 +83,10 @@ class Conv2d final : public Layer {
   int pad() const { return pad_; }
 
  private:
-  /// Shape checks, then apply_gemm().
+  /// Shape checks, then batched im2col+GEMM: one col matrix and one
+  /// blocked GEMM per chunk of samples (the whole batch when it fits the
+  /// scratch budget).
   Tensor apply(const Tensor& input) const;
-  /// Batched im2col+GEMM: one col matrix and one blocked GEMM per chunk
-  /// of samples (the whole batch when it fits the scratch budget).
-  Tensor apply_gemm(const Tensor& input) const;
   /// Writes the im2col row r for this sample at col + r*pitch (pitch ≥
   /// oh*ow; the batched path interleaves samples with a larger pitch).
   void im2col(const float* src, int h, int w, float* col,
@@ -100,7 +104,8 @@ class Relu final : public Layer {
   std::string name() const override { return "relu"; }
   Tensor forward(const Tensor& input, bool training) override;
   Tensor infer(const Tensor& input) const override;
-  Tensor backward(const Tensor& grad_output) override;
+  Tensor backward(const Tensor& grad_output,
+                  bool input_grad = true) override;
 
  private:
   std::vector<std::uint8_t> mask_;
@@ -112,7 +117,8 @@ class MaxPool2 final : public Layer {
   std::string name() const override { return "maxpool2"; }
   Tensor forward(const Tensor& input, bool training) override;
   Tensor infer(const Tensor& input) const override;
-  Tensor backward(const Tensor& grad_output) override;
+  Tensor backward(const Tensor& grad_output,
+                  bool input_grad = true) override;
 
  private:
   Tensor apply(const Tensor& input, std::vector<int>* argmax) const;
@@ -129,14 +135,14 @@ class Linear final : public Layer {
   std::string name() const override { return "linear"; }
   Tensor forward(const Tensor& input, bool training) override;
   Tensor infer(const Tensor& input) const override;
-  Tensor backward(const Tensor& grad_output) override;
+  Tensor backward(const Tensor& grad_output,
+                  bool input_grad = true) override;
   std::vector<Param> params() override;
   void init(Rng& rng) override;
 
  private:
-  /// Shape checks, then apply_gemm().
+  /// Shape checks, then one GEMM against the in-place weight.
   Tensor apply(const Tensor& input) const;
-  Tensor apply_gemm(const Tensor& input) const;
 
   int in_f_, out_f_;
   // [in_f][out_f]: the GEMM's k × n B operand, read in place. The weight
@@ -155,7 +161,8 @@ class Dropout final : public Layer {
   std::string name() const override { return "dropout"; }
   Tensor forward(const Tensor& input, bool training) override;
   Tensor infer(const Tensor& input) const override;
-  Tensor backward(const Tensor& grad_output) override;
+  Tensor backward(const Tensor& grad_output,
+                  bool input_grad = true) override;
 
  private:
   double p_;
