@@ -48,7 +48,8 @@ class Network {
   Tensor forward_batch(std::span<const std::vector<float>> rows,
                        const std::array<int, 3>& sample_shape) const;
 
-  /// Backprop from dL/d(output); accumulates parameter gradients.
+  /// Backprop from dL/d(output); accumulates parameter gradients. The
+  /// first layer's input gradient is never read, so it is not computed.
   void backward(const Tensor& grad_output);
 
   /// All trainable parameters across layers.
