@@ -14,7 +14,9 @@
 #      adding a wire op means writing it down, or
 #   6. a backticked `Suite.Test` name in README.md or docs/*.md has no
 #      TEST*(Suite, Test) under tests/ — docs must not name a test that
-#      was renamed or deleted.
+#      was renamed or deleted, or
+#   7. a relative link target in README.md or docs/*.md does not exist —
+#      deleting or moving a file means updating the links to it.
 # Run from anywhere: paths resolve relative to this script's repo root.
 
 check_name="check_docs"
@@ -111,4 +113,19 @@ for test_name in $test_names; do
   fi
 done
 
-finish "update README.md's module map / knobs table, docs/STATIC_ANALYSIS.md's rule-id coverage, docs/SERVE.md's op coverage or the test names the docs cite, or add the missing @file header comments"
+# --- 7. every relative link target in the docs exists ----------------------
+# A markdown link [text](target) resolves from the linking file's own
+# directory; an #anchor suffix is stripped, and http(s) links and
+# same-file anchors are skipped.
+for doc in "$readme" "$root"/docs/*.md; do
+  dir="$(dirname "$doc")"
+  while IFS= read -r link; do
+    case "$link" in "" | http://* | https://* | "#"*) continue ;; esac
+    target="${link%%#*}"
+    if [ ! -e "$dir/$target" ]; then
+      fail "${doc#"$root"/} links to '$link', which does not exist"
+    fi
+  done <<< "$(grep -oE '\]\([^) ]+\)' "$doc" | sed -E 's/^\]\(//; s/\)$//')"
+done
+
+finish "update README.md's module map / knobs table, docs/STATIC_ANALYSIS.md's rule-id coverage, docs/SERVE.md's op coverage, the test names or link targets the docs cite, or add the missing @file header comments"

@@ -20,25 +20,13 @@ void CnnDetector::train(const data::Dataset& train_set) {
   Stopwatch sw;
 
   Rng rng(config_.seed);
-  data::Dataset working;
-  const data::Dataset* source = &train_set;
-  if (config_.augment_factor > 1 && config_.mirror_augment) {
-    working = data::augment_dataset(train_set, config_.augment_factor,
-                                    config_.augment_shift_nm, rng);
-    source = &working;
-  }
-  if (config_.upsample_ratio > 0) {
-    working = config_.mirror_augment
-                  ? data::upsample_minority_mirror(
-                        *source, config_.upsample_ratio, rng,
-                        config_.augment_shift_nm)
-                  : data::upsample_minority(*source,
-                                            config_.upsample_ratio, rng);
-    source = &working;
-  }
+  data::Dataset scratch;
+  const data::Dataset& source = data::prepare_training_set(
+      train_set, config_.augment_factor, config_.mirror_augment,
+      config_.augment_shift_nm, config_.upsample_ratio, rng, scratch);
 
-  const auto x = feature::extract_all(*extractor_, *source);
-  const auto y = feature::signed_labels(*source);
+  const auto x = feature::extract_all(*extractor_, source);
+  const auto y = feature::signed_labels(source);
 
   nn::TrainConfig base = config_.train;
   base.seed = config_.seed;
@@ -63,7 +51,7 @@ void CnnDetector::train(const data::Dataset& train_set) {
       break;
     }
   }
-  LHD_LOG(Debug) << name_ << " trained on " << source->size() << " clips in "
+  LHD_LOG(Debug) << name_ << " trained on " << source.size() << " clips in "
                  << sw.seconds() << "s (" << history_.size() << " epochs)";
 }
 

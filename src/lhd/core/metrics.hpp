@@ -44,11 +44,6 @@ struct Confusion {
     const double r = accuracy();
     return (p + r) > 0 ? 2 * p * r / (p + r) : 0.0;
   }
-  /// Plain classification accuracy over both classes.
-  double overall_accuracy() const {
-    return total() ? static_cast<double>(tp + tn) / static_cast<double>(total())
-                   : 0.0;
-  }
 };
 
 /// Compare predictions against dataset labels.

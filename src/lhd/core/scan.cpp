@@ -459,10 +459,10 @@ ScanResult grid_scan(const geom::Rect& extent, const ScanConfig& config,
 }
 
 /// grid_scan worker for the flattened path: query the ChipIndex per
-/// window, apply skip_empty, and hand non-empty windows to the scorer.
+/// window and hand non-empty windows to the scorer (a window with no
+/// geometry is never scored).
 struct FlatWorker {
   const ChipIndex& chip;
-  bool skip_empty = true;
   ShardAccum& acc;
   DedupScorer scorer;
   ChipIndex::QueryScratch scratch;
@@ -474,7 +474,7 @@ struct FlatWorker {
       obs::ScopedTimer query_timer(acc.query_seconds);
       rects = chip.query(w, scratch);
     }
-    if (skip_empty && rects.empty()) return;
+    if (rects.empty()) return;
     scorer.window(w, std::move(rects));
   }
   void flush() { scorer.finish(); }
@@ -491,7 +491,7 @@ ScanResult scan_flat(const ChipIndex& chip, const Detector* prefilter,
   return grid_scan(
       chip.extent(), config, pool,
       [&](ShardAccum& acc, ScoreCache& cache, std::size_t batch) {
-        return FlatWorker{chip, config.skip_empty, acc,
+        return FlatWorker{chip, acc,
                           DedupScorer(prefilter, detector, cache, acc,
                                       config.window_nm, batch),
                           ChipIndex::QueryScratch{}};
@@ -545,9 +545,9 @@ struct ReplayKeyHash {
   }
 };
 
-/// A committed window outcome: either "no geometry in the window" (the
-/// skip_empty skip, memoized so repeated offsets skip the cell queries
-/// too) or a final score.
+/// A committed window outcome: either "no geometry in the window" (never
+/// scored; memoized so repeated offsets skip the cell queries too) or a
+/// final score.
 struct ReplayEntry {
   bool empty_content = false;
   float score = 0.0f;
@@ -691,7 +691,6 @@ class HierWorker {
         grid_(grid),
         replay_(replay),
         acc_(acc),
-        skip_empty_(config.skip_empty),
         scorer_(nullptr, det, cache, acc, config.window_nm, batch,
                 [this](std::size_t tag, float score) {
                   commit_entry(pending_keys_[tag], {false, score});
@@ -722,7 +721,7 @@ class HierWorker {
     std::sort(key_.begin(), key_.end());
     if (key_.size() >= 2) ++acc_.stitch_windows;
     // No instance near the window: the flattened query would be empty.
-    if (key_.empty() && skip_empty_) return;
+    if (key_.empty()) return;
     if (const auto it = local_.find(key_); it != local_.end()) {
       ++acc_.replay_hits;
       emit(w, it->second);
@@ -746,7 +745,7 @@ class HierWorker {
       pending_refs_.erase(it);
     }
     std::vector<geom::Rect> rects = gather(w);
-    if (skip_empty_ && rects.empty()) {
+    if (rects.empty()) {
       // Bboxes overlapped but no actual geometry landed in the window —
       // the flattened scan skips it; memoize the skip for this key.
       commit_entry(key_, {true, 0.0f});
@@ -801,7 +800,6 @@ class HierWorker {
   const InstanceGrid& grid_;
   ReplayCache& replay_;
   ShardAccum& acc_;
-  bool skip_empty_ = true;
   DedupScorer scorer_;
   std::vector<ChipIndex::QueryScratch> cell_scratch_;  ///< one per cell
   InstanceGrid::Scratch grid_scratch_;

@@ -131,7 +131,6 @@ class ChipIndex {
 struct ScanConfig {
   geom::Coord window_nm = 1024;
   geom::Coord stride_nm = 512;
-  bool skip_empty = true;  ///< windows with no geometry are never hotspots
   /// Scan parallelism: 1 = serial (the degenerate case), 0 = one shard per
   /// hardware thread, N = shard the window grid N ways. Results are
   /// bit-identical across thread counts.

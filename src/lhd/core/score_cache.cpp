@@ -94,11 +94,4 @@ ScoreCache::Stats ScoreCache::stats() const {
   return out;
 }
 
-void ScoreCache::reset_stats() {
-  hits_.store(0, std::memory_order_relaxed);
-  misses_.store(0, std::memory_order_relaxed);
-  evictions_.store(0, std::memory_order_relaxed);
-  collisions_.store(0, std::memory_order_relaxed);
-}
-
 }  // namespace lhd::core

@@ -28,7 +28,7 @@ namespace lhd::core {
 
 class ScoreCache {
  public:
-  /// Monotonic totals since construction (or the last reset_stats()).
+  /// Monotonic totals since construction.
   /// Totals are *cumulative*: a cache serving several scans keeps counting
   /// across them. Consumers that need per-scan numbers (the scan's
   /// ScanResult does) must snapshot before and report the difference —
@@ -46,8 +46,8 @@ class ScoreCache {
 
     friend bool operator==(const Stats&, const Stats&) = default;
     /// Component-wise difference: `stats() - snapshot` is the activity
-    /// since `snapshot` was taken (valid when no reset_stats() intervened
-    /// and, for an exact attribution, no concurrent user ran in between).
+    /// since `snapshot` was taken (exact when no concurrent user ran in
+    /// between).
     friend Stats operator-(const Stats& a, const Stats& b) {
       return {a.hits - b.hits, a.misses - b.misses,
               a.evictions - b.evictions, a.collisions - b.collisions};
@@ -85,7 +85,6 @@ class ScoreCache {
   std::size_t size() const;
 
   Stats stats() const;
-  void reset_stats();
 
  private:
   struct Entry {

@@ -38,37 +38,20 @@ void ShallowDetector::train(const data::Dataset& train_set) {
   Stopwatch sw;
 
   Rng rng(config_.seed);
-  data::Dataset working;
-  const data::Dataset* source = &train_set;
-  if (config_.augment_factor > 1 && config_.mirror_augment) {
-    working = data::augment_dataset(train_set, config_.augment_factor,
-                                    config_.augment_shift_nm, rng);
-    source = &working;
-  }
-  if (config_.upsample_ratio > 0) {
-    working = config_.mirror_augment
-                  ? data::upsample_minority_mirror(
-                        *source, config_.upsample_ratio, rng,
-                        config_.augment_shift_nm)
-                  : data::upsample_minority(*source,
-                                            config_.upsample_ratio, rng);
-    source = &working;
-  }
+  data::Dataset scratch;
+  const data::Dataset& source = data::prepare_training_set(
+      train_set, config_.augment_factor, config_.mirror_augment,
+      config_.augment_shift_nm, config_.upsample_ratio, rng, scratch);
 
-  auto x = feature::extract_all(*extractor_, *source);
-  const auto y = feature::signed_labels(*source);
+  auto x = feature::extract_all(*extractor_, source);
+  const auto y = feature::signed_labels(source);
 
   if (config_.standardize) {
     scaler_.fit(x);
     scaler_.transform_all(x);
   }
-  if (config_.pca_components > 0) {
-    Rng pca_rng(config_.seed + 1);
-    pca_.fit(x, config_.pca_components, pca_rng);
-    x = pca_.transform_all(x);
-  }
   classifier_->fit(x, y);
-  LHD_LOG(Debug) << name_ << " trained on " << source->size() << " clips in "
+  LHD_LOG(Debug) << name_ << " trained on " << source.size() << " clips in "
                  << sw.seconds() << "s";
 }
 
@@ -76,7 +59,6 @@ std::vector<float> ShallowDetector::features_for(
     const data::Clip& clip) const {
   auto f = extractor_->extract(clip);
   if (config_.standardize && scaler_.fitted()) scaler_.transform(f);
-  if (config_.pca_components > 0 && pca_.fitted()) f = pca_.transform(f);
   return f;
 }
 

@@ -1,18 +1,17 @@
 #pragma once
 /// @file shallow_detector.hpp
-/// @brief Adapter wiring {feature extractor -> scaler -> optional PCA ->
-/// shallow classifier} into the Detector interface, with optional
-/// imbalance-aware upsampling of the training set.
+/// @brief Adapter wiring {feature extractor -> scaler -> shallow
+/// classifier} into the Detector interface, with optional imbalance-aware
+/// upsampling of the training set.
 ///
 /// Thread-safety: follows the Detector contract — train() fits the whole
 /// chain exclusively; score()/predict() only read the fitted extractor,
-/// scaler, PCA and classifier, so concurrent inference is safe.
+/// scaler and classifier, so concurrent inference is safe.
 
 #include <memory>
 
 #include "lhd/core/detector.hpp"
 #include "lhd/feature/extractor.hpp"
-#include "lhd/feature/pca.hpp"
 #include "lhd/feature/scaler.hpp"
 #include "lhd/ml/classifier.hpp"
 
@@ -25,7 +24,6 @@ struct ShallowDetectorConfig {
   geom::Coord augment_shift_nm = 16;  ///< replica translation jitter
   int augment_factor = 2;  ///< whole-set symmetry/shift replication
   bool standardize = true;
-  int pca_components = 0;  ///< 0 disables PCA
   std::uint64_t seed = 11;
 };
 
@@ -54,7 +52,6 @@ class ShallowDetector final : public Detector {
   std::unique_ptr<ml::BinaryClassifier> classifier_;
   ShallowDetectorConfig config_;
   feature::Scaler scaler_;
-  feature::Pca pca_;
 };
 
 }  // namespace lhd::core

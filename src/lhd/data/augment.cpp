@@ -129,4 +129,22 @@ Dataset upsample_minority_mirror(const Dataset& ds, double target_ratio,
   return upsample_impl(ds, target_ratio, rng, /*mirror=*/true, max_shift);
 }
 
+const Dataset& prepare_training_set(const Dataset& ds, int augment_factor,
+                                    bool mirror_augment, geom::Coord shift_nm,
+                                    double upsample_ratio, Rng& rng,
+                                    Dataset& scratch) {
+  const Dataset* source = &ds;
+  if (augment_factor > 1 && mirror_augment) {
+    scratch = augment_dataset(ds, augment_factor, shift_nm, rng);
+    source = &scratch;
+  }
+  if (upsample_ratio > 0) {
+    scratch = mirror_augment ? upsample_minority_mirror(*source, upsample_ratio,
+                                                        rng, shift_nm)
+                             : upsample_minority(*source, upsample_ratio, rng);
+    source = &scratch;
+  }
+  return *source;
+}
+
 }  // namespace lhd::data

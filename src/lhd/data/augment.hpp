@@ -49,4 +49,15 @@ Clip random_symmetry_shift(const Clip& clip, geom::Coord max_shift, Rng& rng);
 Dataset augment_dataset(const Dataset& ds, int factor, geom::Coord max_shift,
                         Rng& rng);
 
+/// The detectors' training-set preparation. When `mirror_augment` and
+/// `augment_factor` > 1, augment_dataset grows the set; then, when
+/// `upsample_ratio` > 0, the minority is upsampled (through
+/// upsample_minority_mirror when `mirror_augment`). Each step's result is
+/// built into `scratch`. Returns `ds` itself when no step runs, so the
+/// no-op case never copies.
+const Dataset& prepare_training_set(const Dataset& ds, int augment_factor,
+                                    bool mirror_augment, geom::Coord shift_nm,
+                                    double upsample_ratio, Rng& rng,
+                                    Dataset& scratch);
+
 }  // namespace lhd::data

@@ -28,18 +28,6 @@ DatasetStats Dataset::stats() const {
 
 void Dataset::shuffle(Rng& rng) { rng.shuffle(clips_); }
 
-std::pair<Dataset, Dataset> Dataset::split_at(std::size_t n) const {
-  LHD_CHECK(n <= clips_.size(), "split point beyond dataset size");
-  Dataset a(name_ + "/a");
-  Dataset b(name_ + "/b");
-  a.reserve(n);
-  b.reserve(clips_.size() - n);
-  for (std::size_t i = 0; i < clips_.size(); ++i) {
-    (i < n ? a : b).add(clips_[i]);
-  }
-  return {std::move(a), std::move(b)};
-}
-
 Dataset Dataset::filter(Label label) const {
   Dataset out(name_);
   for (const auto& c : clips_) {

@@ -1,5 +1,5 @@
 #pragma once
-// Dataset container + split/shuffle/statistics helpers.
+// Dataset container + shuffle/filter/statistics helpers.
 
 #include <cstddef>
 #include <string>
@@ -39,10 +39,6 @@ class Dataset {
 
   /// In-place Fisher–Yates shuffle.
   void shuffle(Rng& rng);
-
-  /// Split off the first `n` clips into one dataset and the rest into
-  /// another (shuffle first for a random split).
-  std::pair<Dataset, Dataset> split_at(std::size_t n) const;
 
   /// Subset containing only the given label.
   Dataset filter(Label label) const;

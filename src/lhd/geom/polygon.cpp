@@ -141,13 +141,6 @@ Polygon Polygon::translated(Coord dx, Coord dy) const {
   return out;
 }
 
-void decompose_all(const std::vector<Polygon>& polys, std::vector<Rect>& out) {
-  for (const auto& poly : polys) {
-    auto rects = poly.decompose();
-    out.insert(out.end(), rects.begin(), rects.end());
-  }
-}
-
 std::int64_t union_area(std::vector<Rect> rects) {
   rects.erase(std::remove_if(rects.begin(), rects.end(),
                              [](const Rect& r) { return r.empty(); }),

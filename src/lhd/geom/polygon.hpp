@@ -51,9 +51,6 @@ class Polygon {
   std::vector<Point> ring_;
 };
 
-/// Decompose many polygons and append the rects to `out`.
-void decompose_all(const std::vector<Polygon>& polys, std::vector<Rect>& out);
-
 /// Total area of a rect set that may contain overlaps, computed exactly by
 /// coordinate-compressed scanline. Used by tests and density features.
 std::int64_t union_area(std::vector<Rect> rects);

@@ -47,47 +47,6 @@ ByteImage binarize(const FloatImage& img, float threshold) {
   return out;
 }
 
-template <typename T>
-Image<T> flip_x(const Image<T>& img) {
-  Image<T> out(img.width(), img.height());
-  for (int y = 0; y < img.height(); ++y) {
-    for (int x = 0; x < img.width(); ++x) {
-      out.at(img.width() - 1 - x, y) = img.at(x, y);
-    }
-  }
-  return out;
-}
-
-template <typename T>
-Image<T> flip_y(const Image<T>& img) {
-  Image<T> out(img.width(), img.height());
-  for (int y = 0; y < img.height(); ++y) {
-    for (int x = 0; x < img.width(); ++x) {
-      out.at(x, img.height() - 1 - y) = img.at(x, y);
-    }
-  }
-  return out;
-}
-
-template <typename T>
-Image<T> rotate90(const Image<T>& img) {
-  Image<T> out(img.height(), img.width());
-  for (int y = 0; y < img.height(); ++y) {
-    for (int x = 0; x < img.width(); ++x) {
-      // CCW: (x, y) -> (y, W-1-x) in the rotated frame.
-      out.at(y, img.width() - 1 - x) = img.at(x, y);
-    }
-  }
-  return out;
-}
-
-template Image<float> flip_x(const Image<float>&);
-template Image<float> flip_y(const Image<float>&);
-template Image<float> rotate90(const Image<float>&);
-template Image<std::uint8_t> flip_x(const Image<std::uint8_t>&);
-template Image<std::uint8_t> flip_y(const Image<std::uint8_t>&);
-template Image<std::uint8_t> rotate90(const Image<std::uint8_t>&);
-
 Image<std::int32_t> connected_components(const ByteImage& img,
                                          int* component_count) {
   const int w = img.width();
@@ -123,61 +82,36 @@ Image<std::int32_t> connected_components(const ByteImage& img,
   return labels;
 }
 
-std::int64_t count_nonzero(const ByteImage& img) {
-  std::int64_t n = 0;
-  for (const auto v : img.data()) n += (v != 0);
-  return n;
-}
-
-namespace {
-
-// Separable chebyshev-ball morphology: a horizontal pass then a vertical
-// pass of 1-D max (dilate) or min (erode) filters of width 2r+1.
-ByteImage morph(const ByteImage& img, int radius, bool is_dilate,
-                std::uint8_t outside) {
+ByteImage dilate(const ByteImage& img, int radius) {
   LHD_CHECK(radius >= 0, "negative morphology radius");
   if (radius == 0) return img;
+  // Separable chebyshev-ball dilation: a horizontal then a vertical 1-D max
+  // filter of width 2r+1, skipping taps outside the image (background).
   const int w = img.width();
   const int h = img.height();
   ByteImage tmp(w, h, 0);
   ByteImage out(w, h, 0);
-  auto combine = [is_dilate](std::uint8_t acc, std::uint8_t v) {
-    return is_dilate ? std::max(acc, v) : std::min(acc, v);
-  };
   for (int y = 0; y < h; ++y) {
     for (int x = 0; x < w; ++x) {
-      std::uint8_t acc = is_dilate ? 0 : 1;
-      for (int d = -radius; d <= radius; ++d) {
-        const int xx = x + d;
-        const std::uint8_t v =
-            (xx < 0 || xx >= w) ? outside : (img.at(xx, y) ? 1 : 0);
-        acc = combine(acc, v);
+      std::uint8_t acc = 0;
+      for (int xx = std::max(0, x - radius); xx <= std::min(w - 1, x + radius);
+           ++xx) {
+        acc = std::max<std::uint8_t>(acc, img.at(xx, y) ? 1 : 0);
       }
       tmp.at(x, y) = acc;
     }
   }
   for (int y = 0; y < h; ++y) {
     for (int x = 0; x < w; ++x) {
-      std::uint8_t acc = is_dilate ? 0 : 1;
-      for (int d = -radius; d <= radius; ++d) {
-        const int yy = y + d;
-        const std::uint8_t v = (yy < 0 || yy >= h) ? outside : tmp.at(x, yy);
-        acc = combine(acc, v);
+      std::uint8_t acc = 0;
+      for (int yy = std::max(0, y - radius); yy <= std::min(h - 1, y + radius);
+           ++yy) {
+        acc = std::max(acc, tmp.at(x, yy));
       }
       out.at(x, y) = acc;
     }
   }
   return out;
-}
-
-}  // namespace
-
-ByteImage dilate(const ByteImage& img, int radius) {
-  return morph(img, radius, /*is_dilate=*/true, /*outside=*/0);
-}
-
-ByteImage erode(const ByteImage& img, int radius) {
-  return morph(img, radius, /*is_dilate=*/false, /*outside=*/1);
 }
 
 }  // namespace lhd::geom

@@ -71,27 +71,13 @@ FloatImage rasterize(const std::vector<Rect>& rects, Coord window_nm,
 /// Threshold a float image into {0,1}.
 ByteImage binarize(const FloatImage& img, float threshold);
 
-/// Image flips / rotation (used by data augmentation and GDS transforms).
-template <typename T>
-Image<T> flip_x(const Image<T>& img);
-template <typename T>
-Image<T> flip_y(const Image<T>& img);
-template <typename T>
-Image<T> rotate90(const Image<T>& img);  // counter-clockwise
-
 /// 4-connected component labeling. Returns the label image (0 = background,
 /// components numbered from 1) and writes the component count.
 Image<std::int32_t> connected_components(const ByteImage& img,
                                          int* component_count);
 
-/// Count pixels with value != 0.
-std::int64_t count_nonzero(const ByteImage& img);
-
-/// Morphological dilation / erosion with a (2r+1)² square structuring
-/// element (chebyshev ball). Outside the image counts as background for
-/// dilation and as foreground for erosion (so border shapes do not erode
-/// away artificially).
+/// Morphological dilation with a (2r+1)² square structuring element
+/// (chebyshev ball). Outside the image counts as background.
 ByteImage dilate(const ByteImage& img, int radius);
-ByteImage erode(const ByteImage& img, int radius);
 
 }  // namespace lhd::geom

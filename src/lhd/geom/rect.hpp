@@ -28,8 +28,6 @@ struct Rect {
                          static_cast<std::int64_t>(height());
   }
 
-  Point center() const { return {(xlo + xhi) / 2, (ylo + yhi) / 2}; }
-
   bool contains(const Point& p) const {
     return p.x >= xlo && p.x < xhi && p.y >= ylo && p.y < yhi;
   }
@@ -52,11 +50,6 @@ struct Rect {
     if (r.empty()) return *this;
     return Rect(std::min(xlo, r.xlo), std::min(ylo, r.ylo),
                 std::max(xhi, r.xhi), std::max(yhi, r.yhi));
-  }
-
-  /// Grow (or shrink, if negative) by d on every side.
-  Rect inflated(Coord d) const {
-    return Rect(xlo - d, ylo - d, xhi + d, yhi + d);
   }
 
   Rect shifted(Coord dx, Coord dy) const {

@@ -193,7 +193,7 @@ core::ScanResult naive_scan(const core::ChipIndex& chip,
       data::Clip clip;
       clip.rects = chip.query(window);
       clip.window_nm = config.window_nm;
-      if (config.skip_empty && clip.rects.empty()) continue;
+      if (clip.rects.empty()) continue;
       if (prefilter != nullptr && !prefilter->predict(clip)) continue;
       ++result.windows_classified;
       const float score = detector.score(clip);

@@ -75,9 +75,9 @@ class DensityCutDetector : public core::Detector {
 /// The scan's definition, one window at a time: the oracle every
 /// scan-parity property compares against. Walks the row-major window grid
 /// over chip.extent() (config.window_nm, config.stride_nm), queries each
-/// window, skips empty ones when config.skip_empty, and scores the
-/// window's own clip, exactly as it sits, with detector.score(). With a
-/// prefilter, a window reaches detector.score() only if
+/// window, skips empty ones (a window with no geometry is never scored),
+/// and scores the window's own clip, exactly as it sits, with
+/// detector.score(). With a prefilter, a window reaches detector.score() only if
 /// prefilter->predict() accepts it (the two-stage scan). Fills
 /// windows_total, windows_classified, flagged and hits; ignores threads,
 /// dedup, the cache and batch.

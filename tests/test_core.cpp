@@ -13,7 +13,6 @@
 #include <utility>
 
 #include "lhd/core/cnn_detector.hpp"
-#include "lhd/core/ensemble.hpp"
 #include "lhd/core/factory.hpp"
 #include "lhd/core/pipeline.hpp"
 #include "lhd/core/scan.hpp"
@@ -46,7 +45,6 @@ TEST(Metrics, ConfusionDerivedRates) {
   EXPECT_DOUBLE_EQ(c.accuracy(), 0.8);
   EXPECT_DOUBLE_EQ(c.false_alarm_rate(), 5.0 / 90.0);
   EXPECT_DOUBLE_EQ(c.precision(), 8.0 / 13.0);
-  EXPECT_DOUBLE_EQ(c.overall_accuracy(), 0.93);
   EXPECT_GT(c.f1(), 0.6);
   EXPECT_LT(c.f1(), 0.8);
 }
@@ -56,7 +54,6 @@ TEST(Metrics, DegenerateCasesDoNotDivideByZero) {
   EXPECT_DOUBLE_EQ(none.accuracy(), 1.0);
   EXPECT_DOUBLE_EQ(none.false_alarm_rate(), 0.0);
   EXPECT_DOUBLE_EQ(none.precision(), 1.0);
-  EXPECT_DOUBLE_EQ(none.overall_accuracy(), 0.0);
 }
 
 TEST(Metrics, EvaluateCountsAgainstLabels) {
@@ -132,17 +129,6 @@ TEST(ShallowDetector, TrainsAndBeatsChanceOnTinySuite) {
   const auto c = evaluate(det.predict_all(suite.test), suite.test);
   // Weak learner, tiny data — just demand better-than-random behaviour.
   EXPECT_GT(c.accuracy() + (1.0 - c.false_alarm_rate()), 1.0);
-}
-
-TEST(ShallowDetector, PcaPipelineRuns) {
-  const auto suite = tiny_suite(40, 20);
-  ShallowDetectorConfig cfg;
-  cfg.pca_components = 8;
-  cfg.augment_factor = 1;
-  ShallowDetector det("nb-pca", feature::make_density_extractor(),
-                      std::make_unique<ml::GaussianNaiveBayes>(), cfg);
-  det.train(suite.train);
-  EXPECT_EQ(det.predict_all(suite.test).size(), suite.test.size());
 }
 
 TEST(ShallowDetector, EmptyTrainingThrows) {
@@ -648,17 +634,6 @@ TEST(ScoreCache, NonDividingCapacityHoldsExactTotalBound) {
     EXPECT_EQ(cache.size(), capacity)
         << "capacity " << capacity << " shards " << shards;
   }
-}
-
-TEST(ScoreCache, ResetStatsClearsTalliesNotEntries) {
-  ScoreCache cache(8);
-  const auto key = canon_of({Rect(0, 0, 10, 10)});
-  const auto hash = data::canonical_hash(key);
-  cache.insert(key, hash, 0.1f);
-  (void)cache.lookup(key, hash);
-  cache.reset_stats();
-  EXPECT_EQ(cache.stats(), (ScoreCache::Stats{}));
-  EXPECT_TRUE(cache.lookup(key, hash).has_value());
 }
 
 // ------------------------------------------------------------- dedup scan --
@@ -1177,55 +1152,6 @@ TEST(Scan, ThreadsZeroUsesHardwareConcurrency) {
   EXPECT_EQ(auto_sharded.windows_total, serial.windows_total);
 }
 
-
-// --------------------------------------------------------------- ensemble --
-
-TEST(Ensemble, MajorityVoteOverridesMinority) {
-  std::vector<std::unique_ptr<Detector>> members;
-  members.push_back(std::make_unique<ThresholdedDensityDetector>(0.05f));
-  members.push_back(std::make_unique<ThresholdedDensityDetector>(0.05f));
-  members.push_back(std::make_unique<ThresholdedDensityDetector>(0.90f));
-  EnsembleDetector ens("demo", std::move(members));
-  data::Clip dense;
-  dense.window_nm = 1024;
-  dense.rects = {Rect(0, 0, 1024, 512)};  // density 0.5
-  // Two of three members flag it.
-  EXPECT_TRUE(ens.predict(dense));
-  EXPECT_NEAR(ens.score(dense), 2.0f / 3.0f - 0.5f, 1e-5);
-}
-
-TEST(Ensemble, UnanimousClean) {
-  std::vector<std::unique_ptr<Detector>> members;
-  for (int i = 0; i < 3; ++i) {
-    members.push_back(std::make_unique<ThresholdedDensityDetector>(0.9f));
-  }
-  EnsembleDetector ens("demo", std::move(members));
-  data::Clip sparse;
-  sparse.window_nm = 1024;
-  sparse.rects = {Rect(0, 0, 100, 100)};
-  EXPECT_FALSE(ens.predict(sparse));
-  EXPECT_FLOAT_EQ(ens.score(sparse), -0.5f);
-}
-
-TEST(Ensemble, RejectsEmptyMembership) {
-  std::vector<std::unique_ptr<Detector>> none;
-  EXPECT_THROW(EnsembleDetector("x", std::move(none)), Error);
-}
-
-TEST(Ensemble, SeedEnsembleBeatsOrMatchesWorstMember) {
-  const auto suite = tiny_suite(80, 60);
-  auto ens = make_seed_ensemble("dtree", 5, 7);
-  EXPECT_EQ(ens->size(), 5u);
-  ens->train(suite.train);
-  const auto c_ens = evaluate(ens->predict_all(suite.test), suite.test);
-  double worst_f1 = 1.0;
-  for (std::size_t i = 0; i < ens->size(); ++i) {
-    const auto c = evaluate(ens->member(i).predict_all(suite.test),
-                            suite.test);
-    worst_f1 = std::min(worst_f1, c.f1());
-  }
-  EXPECT_GE(c_ens.f1() + 1e-9, worst_f1);
-}
 
 // -------------------------------------------------------------------- auc --
 

@@ -89,18 +89,6 @@ TEST(Dataset, FilterByLabel) {
   EXPECT_EQ(ds.filter(Label::NonHotspot).size(), 7u);
 }
 
-TEST(Dataset, SplitAtPreservesAllClips) {
-  const Dataset ds = make_dataset(4, 6);
-  const auto [a, b] = ds.split_at(3);
-  EXPECT_EQ(a.size(), 3u);
-  EXPECT_EQ(b.size(), 7u);
-}
-
-TEST(Dataset, SplitBeyondSizeThrows) {
-  const Dataset ds = make_dataset(1, 1);
-  EXPECT_THROW(ds.split_at(5), Error);
-}
-
 TEST(Dataset, AppendRenumbersIds) {
   Dataset a = make_dataset(1, 1);
   const Dataset b = make_dataset(2, 0);
@@ -237,6 +225,40 @@ TEST(Augment, AugmentRejectsBadFactor) {
   const Dataset ds = make_dataset(2, 2);
   Rng rng(2);
   EXPECT_THROW(augment_dataset(ds, 0, 16, rng), Error);
+}
+
+TEST(Augment, PrepareTrainingSetMatchesExplicitSteps) {
+  const Dataset ds = make_dataset(3, 13);
+  const geom::Coord shift = 16;
+  for (const int factor : {1, 3}) {
+    for (const bool mirror : {true, false}) {
+      for (const double ratio : {0.0, 0.35}) {
+        SCOPED_TRACE(testing::Message() << "factor " << factor << " mirror "
+                                        << mirror << " ratio " << ratio);
+        Rng rng(7);
+        Dataset scratch;
+        const Dataset& got = prepare_training_set(ds, factor, mirror, shift,
+                                                  ratio, rng, scratch);
+        Rng want_rng(7);
+        Dataset want = ds;
+        const bool augment = factor > 1 && mirror;
+        if (augment) want = augment_dataset(want, factor, shift, want_rng);
+        if (ratio > 0) {
+          want = mirror ? upsample_minority_mirror(want, ratio, want_rng, shift)
+                        : upsample_minority(want, ratio, want_rng);
+        }
+        // No step runs: the input itself comes back, never a copy.
+        EXPECT_EQ(&got, augment || ratio > 0 ? &scratch : &ds);
+        ASSERT_EQ(got.size(), want.size());
+        for (std::size_t i = 0; i < got.size(); ++i) {
+          EXPECT_EQ(got[i].rects, want[i].rects) << "clip " << i;
+          EXPECT_EQ(got[i].label, want[i].label) << "clip " << i;
+          EXPECT_EQ(got[i].id, want[i].id) << "clip " << i;
+        }
+        EXPECT_EQ(rng.next_u64(), want_rng.next_u64());  // same draws
+      }
+    }
+  }
 }
 
 // --------------------------------------------------------------- data io --

@@ -11,7 +11,6 @@
 
 #include "lhd/feature/extractor.hpp"
 #include "lhd/geom/polygon.hpp"
-#include "lhd/feature/pca.hpp"
 #include "lhd/feature/scaler.hpp"
 #include "lhd/feature/squish.hpp"
 #include "lhd/obs/json.hpp"
@@ -379,73 +378,6 @@ TEST(Scaler, RejectsDimensionMismatch) {
   std::vector<float> row = {1.0f};
   EXPECT_THROW(s.transform(row), Error);
 }
-
-// ------------------------------------------------------------------- pca --
-
-TEST(Pca, RecoversDominantDirection) {
-  // Points stretched along (1, 1)/sqrt(2) with small orthogonal noise.
-  Rng rng(8);
-  std::vector<std::vector<float>> rows;
-  for (int i = 0; i < 300; ++i) {
-    const double t = rng.next_gaussian(0.0, 10.0);
-    const double n = rng.next_gaussian(0.0, 0.3);
-    rows.push_back({static_cast<float>(t + n), static_cast<float>(t - n)});
-  }
-  Pca pca;
-  Rng fit_rng(9);
-  pca.fit(rows, 1, fit_rng);
-  const auto& dir = pca.components()[0];
-  const double ratio = std::abs(dir[0] / dir[1]);
-  EXPECT_NEAR(ratio, 1.0, 0.05);  // direction ~ (±1, ±1)
-  EXPECT_GT(pca.explained_variance()[0], 50.0f);
-}
-
-TEST(Pca, TransformReducesDimensions) {
-  Rng rng(8);
-  std::vector<std::vector<float>> rows;
-  for (int i = 0; i < 50; ++i) {
-    rows.push_back({static_cast<float>(rng.next_double()),
-                    static_cast<float>(rng.next_double()),
-                    static_cast<float>(rng.next_double()),
-                    static_cast<float>(rng.next_double())});
-  }
-  Pca pca;
-  Rng fit_rng(10);
-  pca.fit(rows, 2, fit_rng);
-  const auto out = pca.transform_all(rows);
-  EXPECT_EQ(out.size(), 50u);
-  EXPECT_EQ(out[0].size(), 2u);
-}
-
-TEST(Pca, VarianceIsDescending) {
-  Rng rng(21);
-  std::vector<std::vector<float>> rows;
-  for (int i = 0; i < 200; ++i) {
-    rows.push_back({static_cast<float>(rng.next_gaussian(0, 5)),
-                    static_cast<float>(rng.next_gaussian(0, 2)),
-                    static_cast<float>(rng.next_gaussian(0, 0.5))});
-  }
-  Pca pca;
-  Rng fit_rng(22);
-  pca.fit(rows, 3, fit_rng);
-  const auto& var = pca.explained_variance();
-  EXPECT_GE(var[0], var[1]);
-  EXPECT_GE(var[1], var[2]);
-}
-
-TEST(Pca, RejectsBadComponentCount) {
-  Pca pca;
-  Rng rng(1);
-  std::vector<std::vector<float>> rows = {{1.0f, 2.0f}};
-  EXPECT_THROW(pca.fit(rows, 3, rng), Error);
-  EXPECT_THROW(pca.fit(rows, 0, rng), Error);
-}
-
-TEST(Pca, RejectsUnfittedTransform) {
-  Pca pca;
-  EXPECT_THROW(pca.transform({1.0f}), Error);
-}
-
 
 // ---------------------------------------------------------------- squish --
 

@@ -4,7 +4,6 @@
 
 #include <algorithm>
 
-#include "lhd/geom/boolean.hpp"
 #include "lhd/geom/polygon.hpp"
 #include "lhd/geom/rect.hpp"
 #include "lhd/testkit/testkit.hpp"
@@ -72,15 +71,9 @@ TEST(Rect, UniteWithEmptyIsIdentity) {
   EXPECT_EQ(Rect{}.unite(a), a);
 }
 
-TEST(Rect, InflateAndShift) {
+TEST(Rect, ShiftedTranslatesEveryEdge) {
   const Rect r(2, 2, 6, 6);
-  EXPECT_EQ(r.inflated(1), Rect(1, 1, 7, 7));
-  EXPECT_EQ(r.inflated(-1), Rect(3, 3, 5, 5));
   EXPECT_EQ(r.shifted(10, -2), Rect(12, 0, 16, 4));
-}
-
-TEST(Rect, CenterOfRect) {
-  EXPECT_EQ(Rect(0, 0, 10, 20).center(), (Point{5, 10}));
 }
 
 // --------------------------------------------------------------- polygon --
@@ -261,73 +254,6 @@ TEST(Point, HashDistinguishesNeighbours) {
   EXPECT_NE(h(Point{0, 1}), h(Point{1, 0}));
 }
 
-
-// ----------------------------------------------------------- boolean ops --
-
-TEST(Boolean, UnionOfDisjointKeepsBoth) {
-  const auto u = rect_union({Rect(0, 0, 5, 5), Rect(10, 0, 15, 5)});
-  EXPECT_EQ(u.size(), 2u);
-  EXPECT_EQ(union_area(u), 50);
-}
-
-TEST(Boolean, UnionMergesOverlap) {
-  const auto u = rect_union({Rect(0, 0, 10, 10), Rect(5, 0, 15, 10)});
-  ASSERT_EQ(u.size(), 1u);
-  EXPECT_EQ(u[0], Rect(0, 0, 15, 10));
-}
-
-TEST(Boolean, UnionOutputIsDisjoint) {
-  CHECK_PROPERTY("union-disjoint", 32, [](lhd::Rng& rng, std::size_t size) {
-    const auto rects = testkit::random_rects(rng, 2 + size, 260, 5, 60);
-    const auto u = rect_union(rects);
-    std::int64_t sum = 0;
-    for (std::size_t i = 0; i < u.size(); ++i) {
-      sum += u[i].area();
-      for (std::size_t j = i + 1; j < u.size(); ++j) {
-        if (u[i].overlaps(u[j])) {
-          throw testkit::PropertyFailure("rect_union emitted overlapping "
-                                         "output rects");
-        }
-      }
-    }
-    EXPECT_EQ(sum, union_area(rects));
-  });
-}
-
-TEST(Boolean, IntersectionOfNested) {
-  const auto x = rect_intersection({Rect(0, 0, 20, 20)}, {Rect(5, 5, 10, 12)});
-  ASSERT_EQ(x.size(), 1u);
-  EXPECT_EQ(x[0], Rect(5, 5, 10, 12));
-}
-
-TEST(Boolean, IntersectionOfDisjointIsEmpty) {
-  EXPECT_TRUE(
-      rect_intersection({Rect(0, 0, 5, 5)}, {Rect(10, 10, 15, 15)}).empty());
-}
-
-TEST(Boolean, DifferencePunchesHole) {
-  const auto d = rect_difference({Rect(0, 0, 30, 30)}, {Rect(10, 10, 20, 20)});
-  EXPECT_EQ(union_area(d), 30 * 30 - 10 * 10);
-  for (const auto& r : d) {
-    EXPECT_FALSE(r.overlaps(Rect(10, 10, 20, 20)));
-  }
-}
-
-TEST(Boolean, DifferenceWithSelfIsEmpty) {
-  const std::vector<Rect> a = {Rect(0, 0, 10, 10), Rect(5, 5, 20, 20)};
-  EXPECT_TRUE(rect_difference(a, a).empty());
-}
-
-TEST(Boolean, DeMorganAreaIdentity) {
-  // |A| = |A ∩ B| + |A \ B| for random sets.
-  CHECK_PROPERTY("demorgan-area", 32, [](lhd::Rng& rng, std::size_t size) {
-    const auto a = testkit::random_rects(rng, 1 + size, 200, 5, 50);
-    const auto b = testkit::random_rects(rng, 1 + size, 200, 5, 50);
-    const auto inter = rect_intersection(a, b);
-    const auto diff = rect_difference(a, b);
-    EXPECT_EQ(union_area(inter) + union_area(diff), union_area(a));
-  });
-}
 
 }  // namespace
 }  // namespace lhd::geom

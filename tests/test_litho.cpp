@@ -2,11 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "lhd/geom/raster.hpp"
 #include "lhd/litho/oracle.hpp"
-#include "lhd/litho/metrology.hpp"
 #include "lhd/litho/optics.hpp"
 
 namespace lhd::litho {
@@ -106,7 +106,8 @@ TEST(Simulator, DoseScalesThreshold) {
       }
     }
   }
-  EXPECT_GT(geom::count_nonzero(high), geom::count_nonzero(low));
+  EXPECT_GT(std::count(high.data().begin(), high.data().end(), 1),
+            std::count(low.data().begin(), low.data().end(), 1));
 }
 
 TEST(Simulator, DefocusReducesNarrowLinePeak) {
@@ -297,79 +298,6 @@ TEST_P(LineWidthMonotone, WiderLinesNeverPinchWhenNarrowerDoesNot) {
 
 INSTANTIATE_TEST_SUITE_P(Widths, LineWidthMonotone,
                          ::testing::Values(24, 32, 40, 48, 56, 64, 72));
-
-
-// -------------------------------------------------------------- metrology --
-
-TEST(PvBand, EmptyMaskHasNoBand) {
-  const LithoSimulator sim;
-  const auto pv = pv_band(sim, FloatImage(64, 64, 0.0f));
-  EXPECT_EQ(pv.area_px, 0);
-  EXPECT_DOUBLE_EQ(pv.area_ratio, 0.0);
-}
-
-TEST(PvBand, SafePatternHasThinBand) {
-  const LithoSimulator sim;
-  const auto mask = raster_of({Rect(0, 440, 1024, 512),
-                               Rect(0, 580, 1024, 652)});
-  const auto pv = pv_band(sim, mask);
-  EXPECT_GT(pv.area_px, 0);          // edges always move a little
-  EXPECT_LT(pv.area_ratio, 0.45);    // but the band is a fringe, not the shape
-}
-
-TEST(PvBand, MarginalPatternHasWiderBandThanSafe) {
-  const LithoSimulator sim;
-  const auto safe = raster_of({Rect(0, 476, 1024, 548)});   // 72 nm line
-  const auto risky = raster_of({Rect(0, 494, 1024, 530)});  // 36 nm line
-  const auto pv_safe = pv_band(sim, safe);
-  const auto pv_risky = pv_band(sim, risky);
-  EXPECT_GT(pv_risky.area_ratio, pv_safe.area_ratio);
-}
-
-TEST(Epe, PerfectPrintHasZeroEpe) {
-  geom::ByteImage target(32, 32, 0);
-  for (int y = 10; y < 20; ++y) {
-    for (int x = 5; x < 28; ++x) target.at(x, y) = 1;
-  }
-  const auto r = edge_placement_error(target, target);
-  EXPECT_EQ(r.outer_px, 0);
-  EXPECT_EQ(r.inner_px, 0);
-  EXPECT_EQ(r.worst_px, 0);
-  EXPECT_FALSE(r.capped);
-}
-
-TEST(Epe, UniformShrinkGivesInnerEpe) {
-  geom::ByteImage target(32, 32, 0);
-  for (int y = 8; y < 24; ++y) {
-    for (int x = 8; x < 24; ++x) target.at(x, y) = 1;
-  }
-  const auto printed = geom::erode(target, 2);
-  const auto r = edge_placement_error(target, printed);
-  EXPECT_EQ(r.inner_px, 2);
-  EXPECT_EQ(r.outer_px, 0);
-  EXPECT_EQ(r.worst_px, 2);
-}
-
-TEST(Epe, UniformGrowthGivesOuterEpe) {
-  geom::ByteImage target(32, 32, 0);
-  for (int y = 12; y < 20; ++y) {
-    for (int x = 12; x < 20; ++x) target.at(x, y) = 1;
-  }
-  const auto printed = geom::dilate(target, 3);
-  const auto r = edge_placement_error(target, printed);
-  EXPECT_EQ(r.outer_px, 3);
-  EXPECT_EQ(r.inner_px, 0);
-}
-
-TEST(Epe, CapsAtMaxPx) {
-  geom::ByteImage target(32, 32, 0);
-  target.at(2, 2) = 1;
-  geom::ByteImage printed(32, 32, 0);
-  printed.at(29, 29) = 1;  // unrelated blob far away
-  const auto r = edge_placement_error(target, printed, 4);
-  EXPECT_TRUE(r.capped);
-  EXPECT_EQ(r.worst_px, 4);
-}
 
 }  // namespace
 }  // namespace lhd::litho

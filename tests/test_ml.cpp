@@ -10,7 +10,6 @@
 #include "lhd/ml/adaboost.hpp"
 #include "lhd/ml/decision_tree.hpp"
 #include "lhd/ml/kernel_svm.hpp"
-#include "lhd/ml/knn.hpp"
 #include "lhd/ml/linear_svm.hpp"
 #include "lhd/ml/logistic_regression.hpp"
 #include "lhd/ml/naive_bayes.hpp"
@@ -316,51 +315,6 @@ TEST(PatternMatch, AutoRadiusCalibrates) {
   EXPECT_TRUE(clf.predict(x[0]));
 }
 
-
-// -------------------------------------------------------------------- knn --
-
-TEST(Knn, SeparatesBlobs) {
-  KNearest clf;
-  const Problem train = blobs(50, 21);
-  clf.fit(train.x, train.y);
-  EXPECT_GE(accuracy(clf, blobs(50, 22)), 0.95);
-  EXPECT_EQ(clf.stored(), train.x.size());
-}
-
-TEST(Knn, SolvesXor) {
-  KNearest clf;
-  const Problem train = xor_data(40, 23);
-  clf.fit(train.x, train.y);
-  EXPECT_GE(accuracy(clf, xor_data(40, 24)), 0.9);
-}
-
-TEST(Knn, OneNearestMemorizesTrainingSet) {
-  KnnConfig cfg;
-  cfg.k = 1;
-  KNearest clf(cfg);
-  const Problem train = blobs(20, 25);
-  clf.fit(train.x, train.y);
-  for (std::size_t i = 0; i < train.x.size(); ++i) {
-    EXPECT_EQ(clf.predict(train.x[i]), train.y[i] > 0);
-  }
-}
-
-TEST(Knn, KLargerThanDatasetIsClamped) {
-  KnnConfig cfg;
-  cfg.k = 100;
-  KNearest clf(cfg);
-  Matrix x = {{0.0f}, {1.0f}, {2.0f}};
-  std::vector<float> y = {1.0f, 1.0f, -1.0f};
-  clf.fit(x, y);
-  EXPECT_TRUE(clf.predict({0.5f}));  // majority of all three is +
-}
-
-TEST(Knn, RejectsNonPositiveK) {
-  KnnConfig cfg;
-  cfg.k = 0;
-  KNearest clf(cfg);
-  EXPECT_THROW(clf.fit({{1.0f}}, {1.0f}), Error);
-}
 
 }  // namespace
 }  // namespace lhd::ml

@@ -1,5 +1,5 @@
 // Property-based suites over the parity-critical production kernels:
-// serial-vs-parallel scan equality, fast-vs-naive DCT, raster/boolean
+// serial-vs-parallel scan equality, fast-vs-naive DCT, raster/union-area
 // metamorphic identities, and serialization fixpoints. Every failure
 // prints a reproducing LHD_PROPERTY_SEED line (see docs/TESTING.md).
 
@@ -58,11 +58,10 @@ const core::CnnDetector& fixed_cnn() {
   return *cnn;
 }
 
-core::ScanConfig parity_config(Rng& rng) {
+core::ScanConfig parity_config() {
   core::ScanConfig cfg;
   cfg.window_nm = 1024;
   cfg.stride_nm = 512;
-  cfg.skip_empty = rng.next_bool();
   return cfg;
 }
 
@@ -77,7 +76,7 @@ TEST(Property, ScanParityAcrossThreadCounts) {
   CHECK_PROPERTY("scan-parity", 64, [&](Rng& rng, std::size_t size) {
     const core::ChipIndex chip(random_rects(rng, 8 + size * 8, 8192, 16, 900));
     const core::ChipIndex small(random_rects(rng, 4 + size * 2, 4096, 16, 900));
-    const core::ScanConfig cfg = parity_config(rng);
+    const core::ScanConfig cfg = parity_config();
     const DensityCutDetector* pre = rng.next_bool() ? &prefilter : nullptr;
     expect_scan_parity(chip, detector, cfg, {2, 3, 8}, pool, pre);
     expect_scan_parity(small, fixed_cnn(), cfg, {3}, pool, pre);
@@ -92,7 +91,7 @@ TEST(Property, DedupScanParityAcrossThreadsCapacitiesAndBatches) {
   CHECK_PROPERTY("dedup-scan-parity", 24, [&](Rng& rng, std::size_t size) {
     const core::ChipIndex chip(random_rects(rng, 8 + size * 8, 8192, 16, 900));
     const core::ChipIndex small(random_rects(rng, 4 + size * 2, 4096, 16, 900));
-    const core::ScanConfig cfg = parity_config(rng);
+    const core::ScanConfig cfg = parity_config();
     expect_dedup_scan_parity(chip, detector, cfg, {1, 2, 8}, {0, 1, 4096},
                              {1, 32}, pool);
     expect_dedup_scan_parity(small, fixed_cnn(), cfg, {1, 3}, {1, 4096},
@@ -116,7 +115,7 @@ TEST(Property, HierarchicalScanParityOnSynthChips) {
     const int variants = kVariants[rng.next_below(3)];
     const auto lib = synth::build_chip(style, tiles, tiles,
                                        rng.next_below(1u << 20), variants);
-    const core::ScanConfig cfg = parity_config(rng);
+    const core::ScanConfig cfg = parity_config();
     expect_hierarchical_scan_parity(lib, "TOP", synth::kChipLayer, detector,
                                     cfg, {1, 2, 8}, pool);
     expect_hierarchical_scan_parity(lib, "TOP", synth::kChipLayer,
@@ -144,7 +143,7 @@ TEST(Property, HierarchicalScanParityOnRandomLibraries) {
           random_rect(rng, 8000, 16, 900).shifted(-4000, -4000));
       top->add(b);
     }
-    const core::ScanConfig cfg = parity_config(rng);
+    const core::ScanConfig cfg = parity_config();
     expect_hierarchical_scan_parity(lib, "TOP", 1, detector, cfg, {1, 3},
                                     pool);
     // The CNN runs on the smaller half of the libraries (shrinking keeps
@@ -354,16 +353,6 @@ TEST(Property, RasterizeIsPermutationInvariant) {
       throw PropertyFailure("raster changed under a permutation of " +
                             std::to_string(rects.size()) + " rects");
     }
-  });
-}
-
-TEST(Property, FlipXIsAnInvolutionOnRasters) {
-  CHECK_PROPERTY("raster-flip-involution", 32,
-                 [](Rng& rng, std::size_t size) {
-    const auto rects = random_rects(rng, 2 + size, 512, 4, 120);
-    const auto img = geom::rasterize(rects, 512, 8);
-    EXPECT_EQ(geom::flip_x(geom::flip_x(img)), img);
-    EXPECT_EQ(geom::flip_y(geom::flip_y(img)), img);
   });
 }
 
