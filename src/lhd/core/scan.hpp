@@ -24,31 +24,37 @@
 /// invocations*, which a shared cache makes schedule-dependent — it is the
 /// one ScanResult count that may differ run to run.
 ///
-/// Real layouts are also *hierarchical* (SREF/AREF forests), so flattening
-/// pays O(flattened area) before the dedup cache can rediscover the
-/// repetition window-by-window. scan_library() with
-/// ScanConfig::hierarchical exploits the hierarchy directly: it enumerates
-/// instance placements from the structure tree (gds::Library::
-/// layer_instances, memoized per-structure bboxes — the layer is never
-/// flattened), indexes each distinct cell's geometry once, and keys every
-/// window by its *replay key* — the sorted (cell, mirror, angle,
-/// window-minus-origin offset) tuple per overlapping instance. Window
-/// content is a pure function of that key, so interior windows of repeated
-/// cells replay a memoized score instead of re-extracting geometry;
-/// detector work shrinks to O(distinct geometry + stitch bands where
-/// instances abut or overlap). The hit list stays identical to the
-/// flattened scan (asserted by the hierarchical parity property).
+/// Every scan also runs one worker over placed cells. Real layouts are
+/// *hierarchical* (SREF/AREF forests), so flattening pays O(flattened
+/// area) before the dedup cache can rediscover the repetition
+/// window-by-window. scan_library() with ScanConfig::hierarchical exploits
+/// the hierarchy directly: it enumerates instance placements from the
+/// structure tree (gds::Library::layer_instances, memoized per-structure
+/// bboxes — the layer is never flattened), indexes each distinct cell's
+/// geometry once, and keys every window by its *replay key* — the sorted
+/// (cell, mirror, angle, window-minus-origin offset) tuple per overlapping
+/// instance. Window content is a pure function of that key, so interior
+/// windows of repeated cells replay a memoized score instead of
+/// re-extracting geometry; detector work shrinks to O(distinct geometry +
+/// stitch bands where instances abut or overlap). The hit list stays
+/// identical to the flattened scan (asserted by the hierarchical parity
+/// property). A flattened chip is the one-cell, one-placement case:
+/// scan_chip* wraps its ChipIndex as that hierarchy. The placements near a
+/// window come from a ChipIndex over their bboxes (query_ids). A key
+/// naming a once-placed cell can never recur (that placement fixes where
+/// the window sits), so such windows are never memoized: no key, no memo
+/// entry, which covers every window of a flattened chip.
 ///
 /// Thread-safety: ChipIndex is immutable after construction and all its
-/// methods are const; concurrent query() calls are race-free as long as
-/// each thread passes its own QueryScratch. scan_chip* may run on a shared
-/// pool; the detector's score()/predict() must be thread-safe (true for
-/// every in-tree detector). The hierarchical instance-replay path shards
-/// the same row-major window grid: per-shard state (replay key scratch,
-/// per-cell QueryScratch, the DedupScorer) is thread-local, while the two
-/// scan-wide memos — the ScoreCache and the replay cache (committed
-/// key→score entries) — are internally synchronized (lhd::Mutex +
-/// LHD_GUARDED_BY, machine-checked under Clang), so shards only exchange
+/// methods are const; concurrent query()/query_ids() calls are race-free
+/// as long as each thread passes its own QueryScratch. Scans may run on a
+/// shared pool; the detector's score()/predict() must be thread-safe (true
+/// for every in-tree detector). Every scan shards the row-major window
+/// grid: per-shard state (replay key scratch, per-cell QueryScratch, the
+/// DedupScorer) is thread-local, while the two scan-wide memos — the
+/// ScoreCache and the replay cache (committed key→score entries) — are
+/// internally synchronized (lhd::Mutex + LHD_GUARDED_BY, machine-checked
+/// under Clang), so shards only exchange
 /// *committed* scores and the merged hit list is bit-identical for every
 /// thread count. A caller-supplied ScanConfig::cache may be shared across
 /// *sequential* scans (each scan reports per-scan deltas via the
@@ -109,6 +115,13 @@ class ChipIndex {
   std::vector<geom::Rect> query(const geom::Rect& window,
                                 QueryScratch& scratch) const;
 
+  /// Ids (indices into the constructor's non-degenerate rects, in input
+  /// order) of the rects overlapping `window`, ascending, written to `out`
+  /// (cleared first). Race-free under the same one-scratch-per-thread
+  /// rule as query().
+  void query_ids(const geom::Rect& window, QueryScratch& scratch,
+                 std::vector<std::uint32_t>& out) const;
+
   /// Test-only convenience overload that allocates a fresh scratch per
   /// call. The per-query O(#rects) stamp allocation this hides is exactly
   /// what QueryScratch exists to amortize — production call sites (the
@@ -121,6 +134,12 @@ class ChipIndex {
                                 const std::string& top, std::int16_t layer);
 
  private:
+  /// The bucket walk behind query() and query_ids(): calls `visit(i)` once
+  /// per rect id stored in a bucket `window` touches.
+  template <typename Visit>
+  void for_each_candidate(const geom::Rect& window, QueryScratch& scratch,
+                          Visit&& visit) const;
+
   std::vector<geom::Rect> rects_;
   geom::Rect extent_;
   geom::Coord bucket_nm_;
@@ -150,10 +169,11 @@ struct ScanConfig {
   /// off always scores one window at a time).
   std::size_t batch = 32;
   /// Scan the GDS hierarchy instead of a flattened layer: index each
-  /// distinct cell once and replay memoized window scores per instance
-  /// (scan_library() only — scan_chip* has no hierarchy to exploit and
-  /// rejects the flag). Hit lists are identical to the flattened scan
-  /// (asserted by the hierarchical parity property).
+  /// distinct cell once and replay memoized window scores per repeated
+  /// placement (scan_library() only). scan_chip* already scans its chip as
+  /// the one-placement hierarchy, whose keys never recur and are never
+  /// memoized, and rejects the flag. Hit lists are identical to the
+  /// flattened scan (asserted by the hierarchical parity property).
   bool hierarchical = false;
   /// Optional caller-owned ScoreCache shared across scans when dedup is on
   /// (ignored when it is off). nullptr — the default — gives each scan a

@@ -23,7 +23,6 @@ class Dataset {
   explicit Dataset(std::string name) : name_(std::move(name)) {}
 
   const std::string& name() const { return name_; }
-  void set_name(std::string name) { name_ = std::move(name); }
 
   std::size_t size() const { return clips_.size(); }
   bool empty() const { return clips_.empty(); }

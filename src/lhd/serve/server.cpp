@@ -243,8 +243,10 @@ Response Server::do_scan(std::uint32_t tenant, const ScanRegion& req) {
   const Model::State state = snapshot(req.model);
 
   // Validate the region's bounding box in 64-bit BEFORE building the
-  // spatial index: ChipIndex allocates a bucket grid proportional to the
-  // extent, so two far-apart rects must be rejected here, not OOM there.
+  // spatial index: the region's ChipIndex allocates a bucket grid
+  // proportional to the extent (the scan's one-placement instance index
+  // stays a bucket or a few), so two far-apart rects must be rejected
+  // here, not OOM there.
   std::int64_t xlo = 0, ylo = 0, xhi = 0, yhi = 0;
   bool any = false;
   for (const auto& r : req.rects) {
