@@ -901,6 +901,27 @@ TEST(ServeServer, StatsJsonIsParseableAndCounts) {
       obs::Json::parse(std::get<StatsResult>(resp.body).json).is_object());
 }
 
+TEST(ServeServer, OpLatencyMatchesTotalLatency) {
+  // One request is one latency reading: the all-ops histogram and the
+  // per-op one must record the same value, not two reads of the clock.
+  Server server;
+  server.add_model("default", std::make_shared<StubDetector>());
+  constexpr int kRequests = 8;
+  for (int i = 0; i < kRequests; ++i) {
+    (void)server.handle(score_request({{0, 0, 100 + i, 100}}, 3));
+  }
+  const auto total =
+      server.registry().histogram("serve.latency_seconds").snapshot();
+  const auto op = server.registry()
+                      .histogram("serve.op.score-clip.latency_seconds")
+                      .snapshot();
+  EXPECT_EQ(total.count, static_cast<std::uint64_t>(kRequests));
+  EXPECT_EQ(op.count, total.count);
+  EXPECT_EQ(op.sum, total.sum);
+  EXPECT_EQ(op.min, total.min);
+  EXPECT_EQ(op.max, total.max);
+}
+
 TEST(ServeServer, HandleAfterStopIsATypedError) {
   Server server;
   server.add_model("default", std::make_shared<StubDetector>());
