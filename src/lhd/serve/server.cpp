@@ -142,8 +142,9 @@ Response Server::handle(const Request& request) {
       registry_.counter(tenant_key(request.tenant, "errors")).add(1);
       break;
   }
-  registry_.histogram("serve.latency_seconds").observe(sw.seconds());
-  registry_.histogram(op_key(op, "latency_seconds")).observe(sw.seconds());
+  const double latency = sw.seconds();
+  registry_.histogram("serve.latency_seconds").observe(latency);
+  registry_.histogram(op_key(op, "latency_seconds")).observe(latency);
   return resp;
 }
 
