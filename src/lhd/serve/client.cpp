@@ -36,14 +36,6 @@ Response Client::scan_region(const std::string& model, std::int32_t window_nm,
   return call(req);
 }
 
-Response Client::reload_weights(const std::string& model,
-                                std::vector<std::uint8_t> weights) {
-  Request req;
-  req.tenant = tenant_;
-  req.body = ReloadWeights{model, std::move(weights)};
-  return call(req);
-}
-
 Response Client::stats() {
   Request req;
   req.tenant = tenant_;

@@ -36,8 +36,6 @@ class Client {
                       std::vector<geom::Rect> rects);
   Response scan_region(const std::string& model, std::int32_t window_nm,
                        std::int32_t stride_nm, std::vector<geom::Rect> rects);
-  Response reload_weights(const std::string& model,
-                          std::vector<std::uint8_t> weights);
   Response stats();
 
   std::uint32_t tenant() const { return tenant_; }

@@ -27,7 +27,6 @@ const char* level_name(LogLevel level) {
 }  // namespace
 
 void set_log_level(LogLevel level) { g_level.store(level); }
-LogLevel log_level() { return g_level.load(); }
 
 namespace detail {
 

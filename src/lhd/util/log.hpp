@@ -14,7 +14,6 @@ namespace lhd {
 enum class LogLevel { Debug = 0, Info = 1, Warn = 2, Error = 3, Off = 4 };
 
 void set_log_level(LogLevel level);
-LogLevel log_level();
 
 namespace detail {
 

@@ -32,7 +32,6 @@ class Table {
   /// Print to stream (text form).
   void print(std::ostream& os) const;
 
-  const std::string& title() const { return title_; }
   std::size_t rows() const { return rows_.size(); }
 
  private:
