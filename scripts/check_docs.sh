@@ -5,7 +5,9 @@
 #   2. a public header in src/lhd/core/ or src/lhd/obs/ lacks a Doxygen
 #      @file file-header comment (the place thread-safety guarantees live), or
 #   3. an LHD_* CMake knob declared in CMakeLists.txt is missing from
-#      README.md's "Build & run knobs" table, or
+#      README.md's "Build & run knobs" table, a `CMake option` row of that
+#      table names a knob CMakeLists.txt does not declare, or an
+#      `environment` row names a variable nothing reads, or
 #   4. a lint rule id shipped in src/lhd/lint/rules.hpp (the kAllRuleIds
 #      registry) has no backticked mention in docs/STATIC_ANALYSIS.md's
 #      triage guide, or
@@ -53,6 +55,24 @@ knobs="$(grep -oE '^(option|set)\(LHD_[A-Z_]+' "$root/CMakeLists.txt" |
 for knob in $knobs; do
   if ! grep -q "\`$knob\`" "$readme"; then
     fail "CMake knob '$knob' is missing from README.md's knobs table"
+  fi
+done
+# And the other way: a `CMake option` row must name a declared knob, and
+# an `environment` row a variable that something reads — a getenv("NAME")
+# under src/ or tools/, or NAME in one of the other scripts/.
+table_rows() {
+  grep -E '^\| `[A-Z][A-Z0-9_]*` \| '"$1"' \|' "$readme" | cut -d'`' -f2 |
+    sort -u
+}
+for knob in $(table_rows 'CMake option'); do
+  if ! grep -qx "$knob" <<< "$knobs"; then
+    fail "README.md's knobs table lists CMake option '$knob', which CMakeLists.txt does not declare"
+  fi
+done
+for var in $(table_rows 'environment'); do
+  if ! grep -rqF "getenv(\"$var\")" "$root/src" "$root/tools" &&
+     ! grep -rqw --exclude=check_docs.sh "$var" "$root/scripts"; then
+    fail "README.md's knobs table lists environment variable '$var', which nothing under src/, tools/ or scripts/ reads"
   fi
 done
 
