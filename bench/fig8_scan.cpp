@@ -132,7 +132,6 @@ int main(int argc, char** argv) {
                     static_cast<long long>(scan_cfg.cache_capacity));
   report.set_config("batch", static_cast<long long>(scan_cfg.batch));
   report.set_config("tile_variants", static_cast<long long>(tile_variants));
-  report.set_config("obs_enabled", obs::enabled());
 
   Table table("Fig. 8 — full-chip scan scaling (window " +
               Table::cell(static_cast<long long>(scan_cfg.window_nm)) +

@@ -268,7 +268,6 @@ int main(int argc, char** argv) {
   const lhd::Cli cli(argc, argv);
   benchmark::Initialize(&argc, argv);
   lhd::obs::RunReport report("micro_kernels", "");
-  report.set_config("obs_enabled", lhd::obs::enabled());
   lhd::bench::CaptureReporter reporter(&report);
   benchmark::RunSpecifiedBenchmarks(&reporter);
   lhd::bench::write_report(report, cli, "micro_kernels");

@@ -207,7 +207,6 @@ int main(int argc, char** argv) {
   const lhd::Cli cli(argc, argv);
   benchmark::Initialize(&argc, argv);
   lhd::obs::RunReport report("table3_throughput", "B2");
-  report.set_config("obs_enabled", lhd::obs::enabled());
   lhd::bench::CaptureReporter reporter(&report);
   benchmark::RunSpecifiedBenchmarks(&reporter);
   lhd::bench::write_report(report, cli, "table3_throughput");

@@ -101,7 +101,6 @@ int main(int argc, char** argv) {
   report.set_config("window_nm",
                     static_cast<long long>(scan_cfg.window_nm));
   report.set_config("threads", static_cast<long long>(threads));
-  report.set_config("obs_enabled", obs::enabled());
 
   std::cout << "\nscanning (CNN only, serial)...\n";
   scan_cfg.threads = 1;

@@ -438,24 +438,22 @@ ScanResult grid_scan(const geom::Rect& extent, const ScanConfig& config,
   result.cache_misses = stats.misses - alias_hits;
   result.cache_evictions = stats.evictions;
   result.seconds = sw.seconds();
-  if (obs::enabled()) {
-    auto& reg = obs::Registry::global();
-    reg.add("scan.runs");
-    reg.add("scan.windows_total", result.windows_total);
-    reg.add("scan.windows_classified", result.windows_classified);
-    reg.add("scan.flagged", result.flagged);
-    reg.add("scan.cache.hits", result.cache_hits);
-    reg.add("scan.cache.misses", result.cache_misses);
-    reg.add("scan.cache.evictions", result.cache_evictions);
-    reg.observe("scan.seconds", result.seconds);
-    if (result.seconds > 0.0) {
-      reg.observe("scan.windows_per_sec",
-                  static_cast<double>(result.windows_total) / result.seconds);
-    }
-    for (const auto& shard : result.shards) {
-      reg.observe("scan.shard_seconds", shard.seconds);
-      reg.observe("scan.shard_query_seconds", shard.query_seconds);
-    }
+  auto& reg = obs::Registry::global();
+  reg.add("scan.runs");
+  reg.add("scan.windows_total", result.windows_total);
+  reg.add("scan.windows_classified", result.windows_classified);
+  reg.add("scan.flagged", result.flagged);
+  reg.add("scan.cache.hits", result.cache_hits);
+  reg.add("scan.cache.misses", result.cache_misses);
+  reg.add("scan.cache.evictions", result.cache_evictions);
+  reg.observe("scan.seconds", result.seconds);
+  if (result.seconds > 0.0) {
+    reg.observe("scan.windows_per_sec",
+                static_cast<double>(result.windows_total) / result.seconds);
+  }
+  for (const auto& shard : result.shards) {
+    reg.observe("scan.shard_seconds", shard.seconds);
+    reg.observe("scan.shard_query_seconds", shard.query_seconds);
   }
   return result;
 }
@@ -882,14 +880,12 @@ ScanResult scan_library(const gds::Library& lib, const std::string& top,
   result.distinct_cells = static_cast<std::size_t>(std::count_if(
       visits_of.begin(), visits_of.end(), [](std::size_t n) { return n > 0; }));
   result.seconds = sw.seconds();  // include enumeration + cell indexing
-  if (obs::enabled()) {
-    auto& reg = obs::Registry::global();
-    reg.add("scan.hier.runs");
-    reg.add("scan.hier.replay_hits", result.replay_hits);
-    reg.add("scan.hier.stitch_windows", result.stitch_windows);
-    reg.add("scan.hier.instances", result.instances);
-    reg.add("scan.hier.cells", result.distinct_cells);
-  }
+  auto& reg = obs::Registry::global();
+  reg.add("scan.hier.runs");
+  reg.add("scan.hier.replay_hits", result.replay_hits);
+  reg.add("scan.hier.stitch_windows", result.stitch_windows);
+  reg.add("scan.hier.instances", result.instances);
+  reg.add("scan.hier.cells", result.distinct_cells);
   return result;
 }
 

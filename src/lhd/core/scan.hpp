@@ -60,10 +60,9 @@
 /// *sequential* scans (each scan reports per-scan deltas via the
 /// snapshot/delta Stats API); sharing one cache between *concurrent* scans
 /// is safe for results but makes the per-scan hit/miss attribution
-/// approximate. Scans record per-shard timings and window
-/// tallies into obs::Registry::global() when observability is enabled —
-/// instrumentation never changes scan results (asserted by
-/// Scan.InstrumentedScanMatchesUninstrumented).
+/// approximate. Every scan records per-shard timings and window tallies
+/// in ScanResult::shards and into obs::Registry::global(); the shard
+/// tallies cover every window (Scan.ShardStatsCoverEveryWindow).
 
 #include <cstdint>
 #include <string>

@@ -92,7 +92,7 @@ std::vector<std::vector<float>> extract_all(const Extractor& extractor,
       rows[i] = extractor.extract(ds[i]);
     });
   }
-  if (obs::enabled() && !ds.empty()) {
+  if (!ds.empty()) {
     auto& reg = obs::Registry::global();
     const std::string kind = "feature." + extractor.name();
     reg.add(kind + ".clips", ds.size());

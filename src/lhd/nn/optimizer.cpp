@@ -2,107 +2,46 @@
 
 #include <cmath>
 
-#include "lhd/util/check.hpp"
-
 namespace lhd::nn {
 
-namespace {
+void Optimizer::attach(std::vector<Param> params) {
+  params_ = std::move(params);
+  m_.clear();
+  v_.clear();
+  t_ = 0;
+  for (const auto& p : params_) {
+    m_.emplace_back(p.value->size(), 0.0f);
+    v_.emplace_back(p.value->size(), 0.0f);
+  }
+}
 
-class Sgd final : public Optimizer {
- public:
-  explicit Sgd(SgdConfig config) : config_(config) {}
-
-  void attach(std::vector<Param> params) override {
-    params_ = std::move(params);
-    velocity_.clear();
-    for (const auto& p : params_) {
-      velocity_.emplace_back(p.value->size(), 0.0f);
+void Optimizer::step() {
+  ++t_;
+  const double b1 = config_.beta1;
+  const double b2 = config_.beta2;
+  const double bias1 = 1.0 - std::pow(b1, t_);
+  const double bias2 = 1.0 - std::pow(b2, t_);
+  const double lr = config_.learning_rate;
+  for (std::size_t pi = 0; pi < params_.size(); ++pi) {
+    auto& w = *params_[pi].value;
+    auto& g = *params_[pi].grad;
+    auto& m = m_[pi];
+    auto& v = v_[pi];
+    for (std::size_t i = 0; i < w.size(); ++i) {
+      const double grad = g[i] + config_.weight_decay * w[i];
+      m[i] = static_cast<float>(b1 * m[i] + (1.0 - b1) * grad);
+      v[i] = static_cast<float>(b2 * v[i] + (1.0 - b2) * grad * grad);
+      const double mh = m[i] / bias1;
+      const double vh = v[i] / bias2;
+      w[i] -= static_cast<float>(lr * mh /
+                                 (std::sqrt(vh) + config_.epsilon));
+      g[i] = 0.0f;
     }
   }
-
-  void step() override {
-    for (std::size_t pi = 0; pi < params_.size(); ++pi) {
-      auto& v = velocity_[pi];
-      auto& w = *params_[pi].value;
-      auto& g = *params_[pi].grad;
-      const auto lr = static_cast<float>(config_.learning_rate);
-      const auto mu = static_cast<float>(config_.momentum);
-      const auto wd = static_cast<float>(config_.weight_decay);
-      for (std::size_t i = 0; i < w.size(); ++i) {
-        v[i] = mu * v[i] - lr * (g[i] + wd * w[i]);
-        w[i] += v[i];
-        g[i] = 0.0f;
-      }
-    }
-  }
-
-  double learning_rate() const override { return config_.learning_rate; }
-  void set_learning_rate(double lr) override { config_.learning_rate = lr; }
-
- private:
-  SgdConfig config_;
-  std::vector<Param> params_;
-  std::vector<std::vector<float>> velocity_;
-};
-
-class Adam final : public Optimizer {
- public:
-  explicit Adam(AdamConfig config) : config_(config) {}
-
-  void attach(std::vector<Param> params) override {
-    params_ = std::move(params);
-    m_.clear();
-    v_.clear();
-    t_ = 0;
-    for (const auto& p : params_) {
-      m_.emplace_back(p.value->size(), 0.0f);
-      v_.emplace_back(p.value->size(), 0.0f);
-    }
-  }
-
-  void step() override {
-    ++t_;
-    const double b1 = config_.beta1;
-    const double b2 = config_.beta2;
-    const double bias1 = 1.0 - std::pow(b1, t_);
-    const double bias2 = 1.0 - std::pow(b2, t_);
-    const double lr = config_.learning_rate;
-    for (std::size_t pi = 0; pi < params_.size(); ++pi) {
-      auto& w = *params_[pi].value;
-      auto& g = *params_[pi].grad;
-      auto& m = m_[pi];
-      auto& v = v_[pi];
-      for (std::size_t i = 0; i < w.size(); ++i) {
-        const double grad = g[i] + config_.weight_decay * w[i];
-        m[i] = static_cast<float>(b1 * m[i] + (1.0 - b1) * grad);
-        v[i] = static_cast<float>(b2 * v[i] + (1.0 - b2) * grad * grad);
-        const double mh = m[i] / bias1;
-        const double vh = v[i] / bias2;
-        w[i] -= static_cast<float>(lr * mh /
-                                   (std::sqrt(vh) + config_.epsilon));
-        g[i] = 0.0f;
-      }
-    }
-  }
-
-  double learning_rate() const override { return config_.learning_rate; }
-  void set_learning_rate(double lr) override { config_.learning_rate = lr; }
-
- private:
-  AdamConfig config_;
-  std::vector<Param> params_;
-  std::vector<std::vector<float>> m_, v_;
-  long long t_ = 0;
-};
-
-}  // namespace
-
-std::unique_ptr<Optimizer> make_sgd(SgdConfig config) {
-  return std::make_unique<Sgd>(config);
 }
 
 std::unique_ptr<Optimizer> make_adam(AdamConfig config) {
-  return std::make_unique<Adam>(config);
+  return std::make_unique<Optimizer>(config);
 }
 
 }  // namespace lhd::nn

@@ -65,15 +65,9 @@ std::vector<EpochStats> Trainer::run_epochs(const Rows& x,
                                             const TrainConfig& config,
                                             Rng& rng, int epoch_offset) {
   LHD_CHECK(!x.empty() && x.size() == y.size(), "bad training data");
-  std::unique_ptr<Optimizer> opt;
-  if (config.use_adam) {
-    opt = make_adam({config.learning_rate, 0.9, 0.999, 1e-8,
-                     config.weight_decay});
-  } else {
-    opt = make_sgd({config.learning_rate, config.momentum,
-                    config.weight_decay});
-  }
-  opt->attach(net_->params());
+  Optimizer opt(
+      {config.learning_rate, 0.9, 0.999, 1e-8, config.weight_decay});
+  opt.attach(net_->params());
 
   std::vector<EpochStats> history;
   std::vector<std::size_t> order(x.size());
@@ -83,8 +77,7 @@ std::vector<EpochStats> Trainer::run_epochs(const Rows& x,
     EpochStats stats;
     stats.epoch = epoch_offset + epoch;
     stats.lambda = config.bias_lambda;
-    run_epoch(x, y, config, *opt, order, stats);
-    opt->set_learning_rate(opt->learning_rate() * config.lr_decay);
+    run_epoch(x, y, config, opt, order, stats);
     record_epoch(stats);
     history.push_back(stats);
     LHD_LOG(Debug) << "epoch " << stats.epoch << ": loss " << stats.loss

@@ -2,7 +2,7 @@
 // Mini-batch trainer for the hotspot CNN, including the survey's
 // deep-learning training recipes:
 //
-//  * plain training (softmax CE, Adam/SGD);
+//  * plain training (softmax CE, Adam);
 //  * biased learning (Yang et al.): after convergence at λ=0, continue
 //    training with the *non-hotspot* targets shifted from (0,1) to
 //    (λ, 1-λ), which pushes the decision boundary into non-hotspot
@@ -28,9 +28,6 @@ struct TrainConfig {
   int batch = 32;
   double learning_rate = 1e-3;
   double weight_decay = 1e-4;
-  bool use_adam = true;
-  double momentum = 0.9;        ///< SGD only
-  double lr_decay = 1.0;        ///< per-epoch learning-rate multiplier
   double bias_lambda = 0.0;     ///< non-hotspot soft-target shift
   std::uint64_t seed = 42;
 };
@@ -68,14 +65,13 @@ class Trainer {
   std::vector<float> predict_proba_batch(const Rows& rows) const;
 
   Network& network() { return *net_; }
-  const std::array<int, 3>& input_shape() const { return shape_; }
 
  private:
   Tensor make_batch(const Rows& x, const std::vector<std::size_t>& order,
                     std::size_t begin, std::size_t end) const;
   /// The shared epoch loop of train() and continue_training(): a fresh
-  /// optimizer, then per epoch shuffle with `rng`, run_epoch, lr decay and
-  /// record. `epoch_offset` relabels the returned stats.
+  /// optimizer, then per epoch shuffle with `rng`, run_epoch and record.
+  /// `epoch_offset` relabels the returned stats.
   std::vector<EpochStats> run_epochs(const Rows& x,
                                      const std::vector<float>& y,
                                      const TrainConfig& config, Rng& rng,

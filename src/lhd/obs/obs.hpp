@@ -4,11 +4,8 @@
 /// counters/histograms (`Registry`), RAII scoped timers (`ScopedTimer`),
 /// deterministic JSON (`Json`) and whole-run reports (`RunReport`).
 ///
-/// Switches: build with -DLHD_OBS=OFF to compile recording out entirely,
-/// or set the LHD_OBS=off environment variable to disable it at runtime
-/// (obs::enabled() / obs::set_enabled()). Either way the instrumented and
-/// uninstrumented pipelines produce bit-identical results — instruments
-/// only ever observe, never steer.
+/// Instruments are always on and only ever observe, never steer: no
+/// result depends on what they record.
 ///
 /// Thread-safety: everything here is safe for concurrent use; see the
 /// individual headers for the precise guarantees.

@@ -1,44 +1,6 @@
 #include "lhd/obs/registry.hpp"
 
-#include <cstdlib>
-#include <string_view>
-
 namespace lhd::obs {
-
-namespace {
-
-#ifndef LHD_OBS_DISABLED
-bool env_default() {
-  const char* v = std::getenv("LHD_OBS");
-  if (v == nullptr) return true;
-  const std::string_view s(v);
-  return !(s == "off" || s == "OFF" || s == "0" || s == "false" ||
-           s == "FALSE");
-}
-
-std::atomic<bool>& enabled_flag() {
-  static std::atomic<bool> flag{env_default()};
-  return flag;
-}
-#endif
-
-}  // namespace
-
-bool enabled() {
-#ifdef LHD_OBS_DISABLED
-  return false;
-#else
-  return enabled_flag().load(std::memory_order_relaxed);
-#endif
-}
-
-void set_enabled(bool on) {
-#ifdef LHD_OBS_DISABLED
-  (void)on;
-#else
-  enabled_flag().store(on, std::memory_order_relaxed);
-#endif
-}
 
 Registry& Registry::global() {
   static Registry registry;
@@ -56,12 +18,10 @@ Histogram& Registry::histogram(const std::string& name) {
 }
 
 void Registry::add(const std::string& name, std::uint64_t delta) {
-  if (!enabled()) return;
   counter(name).add(delta);
 }
 
 void Registry::observe(const std::string& name, double value) {
-  if (!enabled()) return;
   histogram(name).observe(value);
 }
 

@@ -21,18 +21,6 @@
 
 namespace lhd::obs {
 
-/// Whether instrumentation is recorded. Compile-time off when the build
-/// defines LHD_OBS_DISABLED (CMake -DLHD_OBS=OFF); otherwise read once
-/// from the LHD_OBS environment variable ("off"/"0"/"false" disable) and
-/// overridable at runtime with set_enabled() (used by tests and overhead
-/// measurement). Disabled means Registry::add/observe and ScopedTimer
-/// become no-ops; explicitly-held Counter/Histogram references still work.
-bool enabled();
-
-/// Runtime override of the LHD_OBS environment switch. No-op (stays off)
-/// in LHD_OBS_DISABLED builds.
-void set_enabled(bool on);
-
 /// Monotonic event counter. add() is wait-free (relaxed fetch_add).
 class Counter {
  public:
@@ -111,8 +99,8 @@ class Registry {
   Counter& counter(const std::string& name);
   Histogram& histogram(const std::string& name);
 
-  /// Convenience recording; no-ops (without creating the instrument) when
-  /// obs is disabled, so call sites need no enabled() guard of their own.
+  /// Convenience recording: look the instrument up (creating it on first
+  /// use) and record into it.
   void add(const std::string& name, std::uint64_t delta = 1);
   void observe(const std::string& name, double value);
 

@@ -22,8 +22,7 @@
 ///
 /// Observability: every request updates per-tenant counters and
 /// queue-depth / latency histograms in the server's own obs::Registry
-/// (explicit instruments — they record even when the global LHD_OBS switch
-/// is off, because the stats op is a protocol feature, not telemetry).
+/// (the stats op is a protocol feature, not telemetry).
 /// The stats op serializes the whole picture as a deterministic-order JSON
 /// document.
 ///

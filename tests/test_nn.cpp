@@ -690,40 +690,27 @@ TEST(Loss, ShapeMismatchThrows) {
 
 // ------------------------------------------------------------- optimizers --
 
-TEST(Optimizers, SgdAndAdamMinimizeQuadratic) {
+TEST(Optimizers, AdamMinimizesQuadratic) {
   // Minimize f(w) = sum (w - 3)^2 via its gradient 2(w - 3).
-  for (const bool use_adam : {false, true}) {
-    std::vector<float> w = {0.0f, 10.0f};
-    std::vector<float> g(2, 0.0f);
-    std::unique_ptr<Optimizer> opt;
-    if (use_adam) {
-      opt = make_adam({0.2, 0.9, 0.999, 1e-8, 0.0});
-    } else {
-      opt = make_sgd({0.05, 0.9, 0.0});
-    }
-    opt->attach({{&w, &g}});
-    for (int it = 0; it < 200; ++it) {
-      for (std::size_t i = 0; i < w.size(); ++i) g[i] = 2 * (w[i] - 3.0f);
-      opt->step();
-    }
-    EXPECT_NEAR(w[0], 3.0f, 0.1f) << (use_adam ? "adam" : "sgd");
-    EXPECT_NEAR(w[1], 3.0f, 0.1f);
+  std::vector<float> w = {0.0f, 10.0f};
+  std::vector<float> g(2, 0.0f);
+  auto opt = make_adam({0.2, 0.9, 0.999, 1e-8, 0.0});
+  opt->attach({{&w, &g}});
+  for (int it = 0; it < 200; ++it) {
+    for (std::size_t i = 0; i < w.size(); ++i) g[i] = 2 * (w[i] - 3.0f);
+    opt->step();
   }
+  EXPECT_NEAR(w[0], 3.0f, 0.1f);
+  EXPECT_NEAR(w[1], 3.0f, 0.1f);
 }
 
 TEST(Optimizers, StepZeroesGradients) {
   std::vector<float> w = {1.0f};
   std::vector<float> g = {5.0f};
-  auto opt = make_sgd({0.1, 0.0, 0.0});
+  auto opt = make_adam();
   opt->attach({{&w, &g}});
   opt->step();
   EXPECT_FLOAT_EQ(g[0], 0.0f);
-}
-
-TEST(Optimizers, LearningRateAccessors) {
-  auto opt = make_adam({});
-  opt->set_learning_rate(0.5);
-  EXPECT_DOUBLE_EQ(opt->learning_rate(), 0.5);
 }
 
 // --------------------------------------------------------------- trainer --
@@ -765,6 +752,7 @@ TEST(Trainer, LearnsXor) {
   ASSERT_EQ(history.size(), 40u);
   EXPECT_LT(history.back().loss, history.front().loss);
   EXPECT_GT(history.back().accuracy, 0.95);
+  for (const EpochStats& h : history) EXPECT_GT(h.seconds, 0.0) << h.epoch;
 
   // Fresh samples classify correctly.
   std::vector<float> ty;
@@ -1137,19 +1125,6 @@ TEST(SerializeCorpus, EveryCorpusFileHasARegressionTest) {
     on_disk.insert(entry.path().filename().string());
   }
   EXPECT_EQ(on_disk, covered);
-}
-
-TEST(Trainer, LrDecayShrinksStepsAndStillLearns) {
-  Network net = make_mlp();
-  Trainer trainer(&net, {1, 1, 4});
-  std::vector<float> y;
-  const Rows x = make_xor_rows(150, &y, 77);
-  TrainConfig cfg;
-  cfg.epochs = 30;
-  cfg.learning_rate = 8e-3;
-  cfg.lr_decay = 0.93;
-  const auto history = trainer.train(x, y, cfg);
-  EXPECT_GT(history.back().accuracy, 0.9);
 }
 
 }  // namespace

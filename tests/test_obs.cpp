@@ -1,8 +1,7 @@
 // Tests for lhd/obs: counter atomicity under the ThreadPool, scoped-timer
 // nesting and accumulator mode, JSON round-trip + deterministic dumps,
-// RunReport schema, the LHD_OBS runtime switch, and the regression that
-// the instrumented scan's results are bit-identical to the uninstrumented
-// scan.
+// RunReport schema, and the per-shard stats and registry tallies every
+// scan records.
 
 #include <gtest/gtest.h>
 
@@ -19,16 +18,6 @@
 
 namespace lhd::obs {
 namespace {
-
-/// Restore the global enabled flag no matter how a test exits.
-class EnabledGuard {
- public:
-  EnabledGuard() : was_(enabled()) {}
-  ~EnabledGuard() { set_enabled(was_); }
-
- private:
-  bool was_;
-};
 
 // --------------------------------------------------------------- registry --
 
@@ -80,24 +69,9 @@ TEST(Registry, ResetZeroesButKeepsNames) {
   EXPECT_EQ(reg.histograms().at("b").count, 0u);
 }
 
-TEST(Registry, DisabledAddAndObserveAreNoOps) {
-  EnabledGuard guard;
-  set_enabled(false);
-  Registry reg;
-  reg.add("silent");
-  reg.observe("silent_h", 1.0);
-  EXPECT_TRUE(reg.counters().empty());
-  EXPECT_TRUE(reg.histograms().empty());
-  set_enabled(true);
-  reg.add("loud");
-  EXPECT_EQ(reg.counters().at("loud"), 1u);
-}
-
 // ----------------------------------------------------------------- timers --
 
 TEST(ScopedTimer, NestedTimersOrderElapsedTimes) {
-  EnabledGuard guard;
-  set_enabled(true);
   double outer = 0.0, inner = 0.0;
   {
     ScopedTimer outer_timer(outer);
@@ -113,8 +87,6 @@ TEST(ScopedTimer, NestedTimersOrderElapsedTimes) {
 }
 
 TEST(ScopedTimer, AccumulatorModeSumsAcrossScopes) {
-  EnabledGuard guard;
-  set_enabled(true);
   double total = 0.0;
   double previous = 0.0;
   for (int i = 0; i < 3; ++i) {
@@ -128,8 +100,6 @@ TEST(ScopedTimer, AccumulatorModeSumsAcrossScopes) {
 }
 
 TEST(ScopedTimer, StopIsIdempotentAndHistogramCountsOnce) {
-  EnabledGuard guard;
-  set_enabled(true);
   Registry reg;
   Histogram& hist = reg.histogram("t");
   {
@@ -138,20 +108,6 @@ TEST(ScopedTimer, StopIsIdempotentAndHistogramCountsOnce) {
     EXPECT_EQ(timer.stop(), 0.0);  // second stop records nothing
   }                                // destructor must not double-record
   EXPECT_EQ(hist.snapshot().count, 1u);
-}
-
-TEST(ScopedTimer, DisabledTimerRecordsNothing) {
-  EnabledGuard guard;
-  set_enabled(false);
-  Registry reg;
-  Histogram& hist = reg.histogram("t");
-  double accum = 0.0;
-  {
-    ScopedTimer a(hist);
-    ScopedTimer b(accum);
-  }
-  EXPECT_EQ(hist.snapshot().count, 0u);
-  EXPECT_EQ(accum, 0.0);
 }
 
 // ------------------------------------------------------------------- json --
@@ -255,8 +211,6 @@ TEST(RunReport, PhasesKeepInsertionOrderAndMergeExtras) {
 }
 
 TEST(RunReport, CapturesRegistryTotals) {
-  EnabledGuard guard;
-  set_enabled(true);
   Registry reg;
   reg.add("windows", 64);
   reg.observe("seconds", 2.0);
@@ -284,7 +238,7 @@ TEST(RunReport, WritesParseableFile) {
   std::filesystem::remove(path);
 }
 
-// ------------------------------------------- instrumented-scan regression --
+// ------------------------------------------------------ scan shard stats --
 
 class DensityCutDetector final : public core::Detector {
  public:
@@ -308,8 +262,7 @@ class DensityCutDetector final : public core::Detector {
   float threshold_ = 0.0f;
 };
 
-TEST(Scan, InstrumentedScanMatchesUninstrumented) {
-  EnabledGuard guard;
+TEST(Scan, ShardStatsCoverEveryWindow) {
   synth::StyleConfig style;
   const auto lib = synth::build_chip(style, 4, 4, 77);
   const auto index =
@@ -322,41 +275,22 @@ TEST(Scan, InstrumentedScanMatchesUninstrumented) {
   ThreadPool pool(4);
   for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
     cfg.threads = threads;
-    set_enabled(false);
-    const auto plain = core::scan_chip(index, det, cfg, pool);
-    set_enabled(true);
-    const auto instrumented = core::scan_chip(index, det, cfg, pool);
+    const auto result = core::scan_chip(index, det, cfg, pool);
 
-    // Observability must never steer: every result field the scan computes
-    // from the layout is bit-identical with instruments on or off.
-    ASSERT_GT(plain.flagged, 0u);
-    EXPECT_EQ(instrumented.windows_total, plain.windows_total) << threads;
-    EXPECT_EQ(instrumented.windows_classified, plain.windows_classified)
-        << threads;
-    EXPECT_EQ(instrumented.flagged, plain.flagged) << threads;
-    EXPECT_EQ(instrumented.hits, plain.hits) << threads;
-
-    // The instrumented run does report per-shard cost; the plain run's
-    // shard timings stay zero (no clock reads on the disabled path).
-    ASSERT_EQ(instrumented.shards.size(), plain.shards.size());
+    // Every scan reports per-shard cost, and the shards partition the
+    // windows between them.
     std::size_t shard_windows = 0;
     double shard_seconds = 0.0;
-    for (const auto& shard : instrumented.shards) {
+    for (const auto& shard : result.shards) {
       shard_windows += shard.windows;
       shard_seconds += shard.seconds;
     }
-    EXPECT_EQ(shard_windows, instrumented.windows_total);
-    EXPECT_GT(shard_seconds, 0.0);
-    for (const auto& shard : plain.shards) {
-      EXPECT_EQ(shard.seconds, 0.0);
-      EXPECT_EQ(shard.query_seconds, 0.0);
-    }
+    EXPECT_EQ(shard_windows, result.windows_total) << threads;
+    EXPECT_GT(shard_seconds, 0.0) << threads;
   }
 }
 
 TEST(Scan, ScanRecordsIntoGlobalRegistry) {
-  EnabledGuard guard;
-  set_enabled(true);
   synth::StyleConfig style;
   const auto lib = synth::build_chip(style, 2, 2, 9);
   const auto index =
