@@ -5,11 +5,15 @@
 // the serve stack's.
 //
 // Three cells, each one RunReport phase in BENCH_serve_throughput.json:
-//   handle_score  in-process Server::handle() on one thread (no wire) —
-//                 the admission + cache + dispatch floor;
+//   handle_score  in-process Server::handle() on one thread (no wire);
+//                 past its 8 first-seen clips every request is a cache
+//                 hit, answered on the calling thread with no admission
+//                 slot and no pool hop: validation, snapshot, probe and
+//                 accounting only;
 //   wire_score    --clients concurrent blocking clients over socketpair
-//                 transports, distinct patterns per client (cache misses
-//                 + hits mixed), Busy answers counted not retried;
+//                 transports, cycling handle_score's 8 clips, so every
+//                 request is a cache hit answered on a session thread;
+//                 Busy answers counted not retried;
 //   wire_scan     the scan-region op over the wire, small dense regions.
 //
 // The server's full stats document (the stats op payload) is embedded in

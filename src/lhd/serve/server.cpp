@@ -16,15 +16,6 @@ namespace lhd::serve {
 
 namespace {
 
-std::string tenant_key(std::uint32_t tenant, const char* leaf) {
-  return "serve.tenant." + std::to_string(tenant) + "." + leaf;
-}
-
-std::string op_key(Op op, const char* leaf) {
-  return std::string("serve.op.") +
-         kOpNames[static_cast<std::size_t>(op)] + "." + leaf;
-}
-
 /// Decrements the admission counter on every exit path.
 class AdmissionSlot {
  public:
@@ -52,7 +43,20 @@ WeightLoader cnn_weight_loader(std::string name,
   };
 }
 
-Server::Server(ServerConfig config) : config_(config) {
+Server::Server(ServerConfig config)
+    : config_(config),
+      responses_ok_(registry_.counter("serve.responses_ok")),
+      responses_busy_(registry_.counter("serve.responses_busy")),
+      responses_error_(registry_.counter("serve.responses_error")),
+      latency_seconds_(registry_.histogram("serve.latency_seconds")),
+      queue_depth_(registry_.histogram("serve.queue_depth")) {
+  ops_.reserve(kOpCount);
+  for (const char* name : kOpNames) {
+    const std::string prefix = std::string("serve.op.") + name + ".";
+    const auto op_leaf = [&](const char* leaf) { return prefix + leaf; };
+    ops_.push_back({registry_.counter(op_leaf("requests")),
+                    registry_.histogram(op_leaf("latency_seconds"))});
+  }
   config_.score_workers = std::max<std::size_t>(1, config_.score_workers);
   config_.session_workers = std::max<std::size_t>(1, config_.session_workers);
   config_.max_queue = std::max<std::size_t>(1, config_.max_queue);
@@ -106,20 +110,40 @@ std::uint64_t Server::model_version(const std::string& name) const {
   return snapshot(name).version;
 }
 
+Server::TenantCounters& Server::tenant_counters(std::uint32_t tenant) {
+  const MutexLock lock(tenants_mutex_);
+  auto it = tenants_.find(tenant);
+  if (it == tenants_.end()) {
+    const std::string prefix = "serve.tenant." + std::to_string(tenant) + ".";
+    const auto tenant_leaf = [&](const char* leaf) -> obs::Counter& {
+      return registry_.counter(prefix + leaf);
+    };
+    it = tenants_
+             .emplace(tenant, TenantCounters{tenant_leaf("requests"),
+                                             tenant_leaf("admitted"),
+                                             tenant_leaf("busy"),
+                                             tenant_leaf("errors"),
+                                             tenant_leaf("cache_hits"),
+                                             tenant_leaf("cache_misses")})
+             .first;
+  }
+  return it->second;
+}
+
 Response Server::handle(const Request& request) {
   const Stopwatch sw;
   const Op op = request_op(request);
-  registry_.counter(tenant_key(request.tenant, "requests")).add(1);
-  registry_.counter(op_key(op, "requests")).add(1);
+  TenantCounters& tenant = tenant_counters(request.tenant);
+  const OpInstruments& per_op = ops_[static_cast<std::size_t>(op)];
+  tenant.requests.add(1);
+  per_op.requests.add(1);
 
   Response resp;
   try {
     if (const auto* score = std::get_if<ScoreClip>(&request.body)) {
-      resp = admit_and_run(op, request.tenant,
-                           [&] { return do_score(request.tenant, *score); });
+      resp = do_score(tenant, *score);
     } else if (const auto* scan = std::get_if<ScanRegion>(&request.body)) {
-      resp = admit_and_run(op, request.tenant,
-                           [&] { return do_scan(request.tenant, *scan); });
+      resp = admit_and_run(op, tenant, [&] { return do_scan(tenant, *scan); });
     } else if (const auto* reload = std::get_if<ReloadWeights>(&request.body)) {
       resp = do_reload(*reload);
     } else {
@@ -131,24 +155,24 @@ Response Server::handle(const Request& request) {
 
   switch (response_status(resp)) {
     case Status::Ok:
-      registry_.counter("serve.responses_ok").add(1);
+      responses_ok_.add(1);
       break;
     case Status::Busy:
-      registry_.counter("serve.responses_busy").add(1);
-      registry_.counter(tenant_key(request.tenant, "busy")).add(1);
+      responses_busy_.add(1);
+      tenant.busy.add(1);
       break;
     case Status::Error:
-      registry_.counter("serve.responses_error").add(1);
-      registry_.counter(tenant_key(request.tenant, "errors")).add(1);
+      responses_error_.add(1);
+      tenant.errors.add(1);
       break;
   }
   const double latency = sw.seconds();
-  registry_.histogram("serve.latency_seconds").observe(latency);
-  registry_.histogram(op_key(op, "latency_seconds")).observe(latency);
+  latency_seconds_.observe(latency);
+  per_op.latency_seconds.observe(latency);
   return resp;
 }
 
-Response Server::admit_and_run(Op op, std::uint32_t tenant,
+Response Server::admit_and_run(Op op, TenantCounters& tenant,
                                const std::function<Response()>& work) {
   // Optimistic acquire: bump, then check the bound. Overshoot is
   // transient (each over-admitted caller immediately backs out) and can
@@ -165,8 +189,8 @@ Response Server::admit_and_run(Op op, std::uint32_t tenant,
     busy.body = BusyResult{op};
     return busy;
   }
-  registry_.histogram("serve.queue_depth").observe(static_cast<double>(depth));
-  registry_.counter(tenant_key(tenant, "admitted")).add(1);
+  queue_depth_.observe(static_cast<double>(depth));
+  tenant.admitted.add(1);
 
   // Errors thrown by the work are converted to a typed response *inside*
   // the pooled task, on the worker thread, so no live exception object
@@ -190,7 +214,12 @@ Response Server::admit_and_run(Op op, std::uint32_t tenant,
   return resp;
 }
 
-Response Server::do_score(std::uint32_t tenant, const ScoreClip& req) {
+Response Server::do_score(TenantCounters& tenant, const ScoreClip& req) {
+  // Checked ahead of everything else, so a stopped server gives every
+  // score-clip the same typed error, cache hits included.
+  if (stopping_.load(std::memory_order_acquire)) {
+    throw Error("server is stopping");
+  }
   if (req.window_nm <= 0) throw Error("score-clip: window_nm must be > 0");
   // Clip geometry is clip-local by contract ([0, window_nm)^2, see
   // data::Clip); enforcing it here also bounds every coordinate the
@@ -201,30 +230,32 @@ Response Server::do_score(std::uint32_t tenant, const ScoreClip& req) {
       throw Error("score-clip: rects must lie within [0, window_nm)^2");
     }
   }
+  // One snapshot serves both the probe and a miss's scoring, so no score
+  // crosses a reload.
   const Model::State state = snapshot(req.model);
   const data::CanonicalClip canon =
       data::canonical_clip(req.rects, req.window_nm);
   const std::uint64_t hash = data::canonical_hash(canon);
   if (const auto hit = state.cache->lookup(canon, hash)) {
-    registry_.counter(tenant_key(tenant, "cache_hits")).add(1);
-    Response resp;
-    resp.body = ScoreResult{*hit};
-    return resp;
+    // A hit is one lookup: answered here, with no admission slot and no
+    // pool hop.
+    tenant.cache_hits.add(1);
+    return Response{ScoreResult{*hit}};
   }
-  // The key is the clip as sent, rect order aside, so scoring it gives
-  // exactly the score of the request (and of every later hit).
-  data::Clip clip;
-  clip.rects = canon.rects;
-  clip.window_nm = canon.window_nm;
-  const float score = state.detector->score(clip);
-  state.cache->insert(canon, hash, score);
-  registry_.counter(tenant_key(tenant, "cache_misses")).add(1);
-  Response resp;
-  resp.body = ScoreResult{score};
-  return resp;
+  return admit_and_run(Op::ScoreClip, tenant, [&] {
+    // The key is the clip as sent, rect order aside, so scoring it gives
+    // exactly the score of the request (and of every later hit).
+    data::Clip clip;
+    clip.rects = canon.rects;
+    clip.window_nm = canon.window_nm;
+    const float score = state.detector->score(clip);
+    state.cache->insert(canon, hash, score);
+    tenant.cache_misses.add(1);
+    return Response{ScoreResult{score}};
+  });
 }
 
-Response Server::do_scan(std::uint32_t tenant, const ScanRegion& req) {
+Response Server::do_scan(TenantCounters& tenant, const ScanRegion& req) {
   // Bound every quantity the grid walk adds together: coordinates to
   // ±2^30 (the GDS reader's own cap) and window/stride below 2^30, so
   // x + window_nm tops out at exactly INT32_MAX — no signed overflow on
@@ -295,9 +326,8 @@ Response Server::do_scan(std::uint32_t tenant, const ScanRegion& req) {
   const core::ScanResult result =
       core::scan_chip(index, *state.detector, cfg);
 
-  registry_.counter(tenant_key(tenant, "cache_hits")).add(result.cache_hits);
-  registry_.counter(tenant_key(tenant, "cache_misses"))
-      .add(result.cache_misses);
+  tenant.cache_hits.add(result.cache_hits);
+  tenant.cache_misses.add(result.cache_misses);
 
   ScanResultWire wire;
   wire.windows_total = result.windows_total;
