@@ -18,7 +18,11 @@
 #      TEST*(Suite, Test) under tests/ — docs must not name a test that
 #      was renamed or deleted, or
 #   7. a relative link target in README.md or docs/*.md does not exist —
-#      deleting or moving a file means updating the links to it.
+#      deleting or moving a file means updating the links to it, or
+#   8. an instrument src/lhd/serve/server.cpp registers (a "serve.<name>"
+#      literal, or a leaf passed to its tenant_leaf/op_leaf helpers) has no
+#      backticked mention in docs/SERVE.md's Observability section —
+#      what the stats op reports is written down.
 # Run from anywhere: paths resolve relative to this script's repo root.
 
 check_name="check_docs"
@@ -148,4 +152,29 @@ for doc in "$readme" "$root"/docs/*.md; do
   done <<< "$(grep -oE '\]\([^) ]+\)' "$doc" | sed -E 's/^\]\(//; s/\)$//')"
 done
 
-finish "update README.md's module map / knobs table, docs/STATIC_ANALYSIS.md's rule-id coverage, docs/SERVE.md's op coverage, the test names or link targets the docs cite, or add the missing @file header comments"
+# --- 8. every serve instrument is in SERVE.md's Observability section -----
+# Full names are the "serve.<name>" literals in server.cpp (the
+# "serve.tenant." and "serve.op." prefixes end in a dot and are skipped);
+# per-tenant and per-op leaves are the literals passed to tenant_leaf(...)
+# and op_leaf(...), documented as `serve.tenant.<id>.<leaf>` and
+# `serve.op.<name>.<leaf>`.
+server_cpp="$root/src/lhd/serve/server.cpp"
+if [ -f "$server_cpp" ] && [ -f "$serve_doc" ]; then
+  observability="$(sed -n '/^## Observability/,/^## /p' "$serve_doc")"
+  [ -n "$observability" ] || fail "docs/SERVE.md has no '## Observability' section"
+  instruments="$(
+    grep -oE '"serve\.[a-z_.]*[a-z_]"' "$server_cpp" | tr -d '"'
+    grep -oE 'tenant_leaf\("[a-z_]+"\)' "$server_cpp" |
+      sed -E 's/^tenant_leaf\("(.*)"\)$/serve.tenant.<id>.\1/'
+    grep -oE 'op_leaf\("[a-z_]+"\)' "$server_cpp" |
+      sed -E 's/^op_leaf\("(.*)"\)$/serve.op.<name>.\1/'
+  )"
+  [ -n "$instruments" ] || fail "could not extract any instrument names from $server_cpp"
+  for instrument in $(sort -u <<< "$instruments"); do
+    if ! grep -qF "\`$instrument\`" <<< "$observability"; then
+      fail "serve instrument '$instrument' (src/lhd/serve/server.cpp) is not in docs/SERVE.md's Observability section"
+    fi
+  done
+fi
+
+finish "update README.md's module map / knobs table, docs/STATIC_ANALYSIS.md's rule-id coverage, docs/SERVE.md's op and instrument coverage, the test names or link targets the docs cite, or add the missing @file header comments"
