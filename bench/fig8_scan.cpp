@@ -7,9 +7,9 @@
 //
 // Each flow additionally runs with clip deduplication on and off
 // (ScanConfig::dedup): dedup keys every window by its exact geometry,
-// memoizes scores in a scan-wide ScoreCache, and batches cache misses through
-// Detector::score_batch() — "classified" then counts actual detector
-// invocations, and the cache hit/miss/eviction tallies land in the report.
+// memoizes scores in a scan-wide ScoreCache, and scores only cache misses —
+// "classified" then counts actual detector invocations, and the cache
+// hit/miss/eviction tallies land in the report.
 //
 // Besides the text table, the run serializes to BENCH_fig8_scan.json via
 // obs::RunReport: one phase per (tiles, flow, threads, dedup) cell with
@@ -30,7 +30,7 @@
 // directly comparable.
 //
 // Flags: --suite=B2 --max-tiles=16 --stride=512 --threads=0 (0 = all
-// cores) --tile-variants=4 --cache-capacity=65536 --batch=32
+// cores) --tile-variants=4 --cache-capacity=65536
 // --report=<path> (default BENCH_fig8_scan.json, empty disables)
 
 #include <thread>
@@ -118,8 +118,6 @@ int main(int argc, char** argv) {
   scan_cfg.cache_capacity = static_cast<std::size_t>(
       cli.get_int("cache-capacity",
                   static_cast<long long>(scan_cfg.cache_capacity)));
-  scan_cfg.batch = static_cast<std::size_t>(
-      cli.get_int("batch", static_cast<long long>(scan_cfg.batch)));
   const int tile_variants =
       static_cast<int>(cli.get_int("tile-variants", 4));
 
@@ -130,7 +128,6 @@ int main(int argc, char** argv) {
                     static_cast<long long>(parallel_threads));
   report.set_config("cache_capacity",
                     static_cast<long long>(scan_cfg.cache_capacity));
-  report.set_config("batch", static_cast<long long>(scan_cfg.batch));
   report.set_config("tile_variants", static_cast<long long>(tile_variants));
 
   Table table("Fig. 8 — full-chip scan scaling (window " +

@@ -6,8 +6,10 @@
 #      @file file-header comment (the place thread-safety guarantees live), or
 #   3. an LHD_* CMake knob declared in CMakeLists.txt is missing from
 #      README.md's "Build & run knobs" table, a `CMake option` row of that
-#      table names a knob CMakeLists.txt does not declare, or an
-#      `environment` row names a variable nothing reads, or
+#      table names a knob CMakeLists.txt does not declare, an
+#      `environment` row names a variable nothing reads, or a
+#      `ScanConfig::<field>` row names a field struct ScanConfig
+#      (src/lhd/core/scan.hpp) does not declare, or
 #   4. a lint rule id shipped in src/lhd/lint/rules.hpp (the kAllRuleIds
 #      registry) has no backticked mention in docs/STATIC_ANALYSIS.md's
 #      triage guide, or
@@ -77,6 +79,19 @@ for var in $(table_rows 'environment'); do
   if ! grep -rqF "getenv(\"$var\")" "$root/src" "$root/tools" &&
      ! grep -rqw --exclude=check_docs.sh "$var" "$root/scripts"; then
     fail "README.md's knobs table lists environment variable '$var', which nothing under src/, tools/ or scripts/ reads"
+  fi
+done
+# And an API row `ScanConfig::<field>` must name a field declared in
+# struct ScanConfig: a deleted field takes its row with it.
+scan_hpp="$root/src/lhd/core/scan.hpp"
+scan_fields="$(sed -n '/^struct ScanConfig {/,/^};/p' "$scan_hpp" |
+  grep -vE '^ *//' | grep -oE '[A-Za-z_][A-Za-z0-9_]*( = [^;]*)?;$' |
+  sed -E 's/( = .*)?;$//' | sort -u)"
+[ -n "$scan_fields" ] || fail "could not extract any fields from struct ScanConfig in $scan_hpp"
+for field in $(grep -oE '^\| `ScanConfig::[A-Za-z_][A-Za-z0-9_]*` \|' "$readme" |
+               cut -d'`' -f2 | sed 's/^ScanConfig:://' | sort -u); do
+  if ! grep -qx "$field" <<< "$scan_fields"; then
+    fail "README.md's knobs table lists ScanConfig::$field, which struct ScanConfig in src/lhd/core/scan.hpp does not declare"
   fi
 done
 

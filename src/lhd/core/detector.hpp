@@ -40,13 +40,11 @@ class Detector {
 
   /// Batch scoring (default: loop over score). Implementations with a real
   /// batched forward path (the CNN) override this to amortize per-call
-  /// overhead; the deduplicated scanner feeds each shard's cache misses
-  /// through it, one call per batch.
+  /// overhead; core::threshold_sweep scores its whole test set through it.
   /// Contract: element i is bit-identical to score(clips[i]) — batching
   /// (any batch size, including the edge cases: an empty span returns an
   /// empty vector, a one-clip span equals {score(clips[0])}) may change
-  /// the cost, never the numbers. This is what lets the scan pick its
-  /// batch size (ScanConfig::batch) without changing a hit list.
+  /// the cost, never the numbers.
   virtual std::vector<float> score_batch(std::span<const data::Clip> clips) const;
 
   /// Batch prediction (default: loop over predict).

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <compare>
-#include <functional>
 #include <optional>
 #include <span>
 #include <unordered_map>
@@ -156,11 +155,6 @@ struct ShardAccum {
   std::size_t windows_total = 0;
   std::size_t windows_classified = 0;
   std::size_t flagged = 0;
-  /// Windows served by a pattern still pending in the same batch. Their
-  /// ScoreCache probe counted as a miss (the memo was in flight, not
-  /// committed), but no detector invocation happened — grid_scan
-  /// reclassifies them as hits.
-  std::size_t batch_alias_hits = 0;
   /// Windows replayed from a memoized key (no geometry extraction) and
   /// windows straddling >= 2 instance bboxes; 0 on a flattened scan.
   std::uint64_t replay_hits = 0;
@@ -183,192 +177,72 @@ data::Clip make_clip(std::vector<geom::Rect> rects, geom::Coord window_nm) {
 }
 
 /// The one scorer behind every scan. Each shard's worker hands it the
-/// windows it admitted, in scan order; the scorer keys each window by its
+/// windows it admitted, in scan order. The scorer keys each window by its
 /// exact memo key (the window-local rects, sorted, plus window_nm —
-/// data/clip_hash.hpp), resolves a key already memoized in the scan-wide
-/// ScoreCache (by any shard) at once, and accumulates cache misses until
-/// `batch` of them are scored together via Detector::score_batch(). The
-/// key holds the window's geometry exactly, so the memoized score is the
-/// score of the window as it sits: dedup changes the cost of a scan, never
-/// its answer. Hits are emitted strictly in enqueue (row-major) order, as
-/// soon as nothing before them is pending.
+/// data/clip_hash.hpp) and probes the scan-wide ScoreCache; on a miss it
+/// scores the key's clip at once with Detector::score() and memoizes the
+/// score for every shard. The key holds the window's geometry exactly, so
+/// the memoized score is the score of the window as it sits: dedup changes
+/// the cost of a scan, never its answer. Each window is emitted the moment
+/// its score is known, so hits come out in scan (row-major) order.
 ///
-/// The plain scan is the degenerate configuration: a capacity-0 cache and
-/// a batch of 1 score every window on its own, the moment it arrives.
-///
-/// The worker's replay memo layers on top: a window enqueued with a `tag`
-/// fires `hook(tag, score)` the moment its score is known (immediately on
-/// a cache hit, otherwise when its batch is scored); windows whose score
-/// was replayed bypass enqueue entirely via push_resolved(), and windows
-/// whose pattern is still *pending* alias it via repeat() — both still
-/// append a slot, so emission keeps the strict scan order.
+/// The plain scan is the degenerate configuration: a capacity-0 cache
+/// memoizes nothing, so every window reaches the detector on its own.
 class DedupScorer {
  public:
-  using ResolveHook = std::function<void(std::size_t tag, float score)>;
-  /// Tag meaning "no commit callback wanted": a window whose replay key
-  /// cannot recur.
-  static constexpr std::size_t kNoTag = static_cast<std::size_t>(-1);
-
-  /// Names a pattern still pending in the current batch. enqueue() hands
-  /// one out; repeat() aliases another window to it without recomputing
-  /// the content. Scoring the batch invalidates every outstanding ref
-  /// (the generation bumps), after which repeat() declines.
-  struct PendingRef {
-    std::uint64_t generation = 0;
-    std::size_t index = 0;
-  };
-
   DedupScorer(const Detector& det, ScoreCache& cache, ShardAccum& acc,
-              geom::Coord window_nm, std::size_t batch, ResolveHook hook)
+              geom::Coord window_nm)
       : det_(det),
         cache_(cache),
         acc_(acc),
         window_nm_(window_nm),
-        threshold_(det.threshold()),
-        batch_(std::max<std::size_t>(1, batch)),
-        hook_(std::move(hook)) {}
+        threshold_(det.threshold()) {}
 
-  /// Returns a ref naming the pattern if it is (still) pending after this
-  /// call, std::nullopt if the window resolved immediately (cache hit) or
-  /// the enqueue filled the batch and scored it.
-  std::optional<PendingRef> enqueue(const geom::Rect& window,
-                                    std::vector<geom::Rect> rects,
-                                    std::size_t tag = kNoTag) {
-    data::CanonicalClip canon =
+  /// Score the window holding `rects` (probe, and on a miss score and
+  /// insert), emit it, and return the score.
+  float score(const geom::Rect& window, std::vector<geom::Rect> rects) {
+    const data::CanonicalClip canon =
         data::canonical_clip(std::move(rects), window_nm_);
     const std::uint64_t hash = data::canonical_hash(canon);
-    if (const auto cached = cache_.lookup(canon, hash)) {
-      if (tag != kNoTag) hook_(tag, *cached);
-      push_resolved(window, *cached);
-      return std::nullopt;
+    std::optional<float> value = cache_.lookup(canon, hash);
+    if (!value) {
+      value = det_.score(make_clip(canon.rects, window_nm_));
+      ++acc_.windows_classified;
+      cache_.insert(canon, hash, *value);
     }
-    // Intra-batch dedup: a pattern already pending in this batch is scored
-    // once and later occurrences alias its slot. On a 64-bit collision
-    // with a *different* pending pattern, score separately (correct,
-    // merely redundant); the map keeps pointing at the first owner.
-    std::size_t index = pending_.size();
-    const auto it = pending_by_hash_.find(hash);
-    if (it != pending_by_hash_.end() &&
-        pending_[it->second].canon == canon) {
-      index = it->second;
-      ++acc_.batch_alias_hits;
-    } else {
-      if (it == pending_by_hash_.end()) pending_by_hash_.emplace(hash, index);
-      pending_.push_back({std::move(canon), hash});
-    }
-    slots_.push_back({window, 0.0f, static_cast<std::ptrdiff_t>(index), tag});
-    if (pending_.size() >= batch_) {
-      score_pending();
-      return std::nullopt;
-    }
-    return PendingRef{generation_, index};
+    emit(window, *value);
+    return *value;
   }
 
-  /// Alias `window` to a pattern a previous enqueue() left pending, without
-  /// recomputing or even possessing its content. Declines (returns false)
-  /// when the ref's batch has already been scored — the caller falls back
-  /// to the content path (and will then hit the committed memo).
-  bool repeat(const geom::Rect& window, const PendingRef& ref) {
-    if (ref.generation != generation_) return false;
-    slots_.push_back(
-        {window, 0.0f, static_cast<std::ptrdiff_t>(ref.index), kNoTag});
-    return true;
+  /// Emit a window whose score is already known (a replayed memo): no
+  /// cache probe, no detector work.
+  void emit(const geom::Rect& window, float value) {
+    if (value > threshold_) {
+      ++acc_.flagged;
+      acc_.hits.push_back({window, value});
+    }
   }
-
-  /// Append a window whose score is already known (a replayed memo). No
-  /// cache probe, no detector work — just a slot, so the hit list stays in
-  /// scan order.
-  void push_resolved(const geom::Rect& window, float score) {
-    slots_.push_back({window, score, kResolved, kNoTag});
-    emit_if_resolved();
-  }
-
-  /// Score whatever is still pending and emit the remaining slots.
-  void finish() { score_pending(); }
 
  private:
-  static constexpr std::ptrdiff_t kResolved = -1;
-
-  struct Slot {
-    geom::Rect window;
-    float score = 0.0f;
-    std::ptrdiff_t pending = kResolved;  ///< index into the current batch
-    std::size_t tag = kNoTag;            ///< hook payload, kNoTag = none
-  };
-  struct Pending {
-    data::CanonicalClip canon;
-    std::uint64_t hash = 0;
-  };
-
-  /// With nothing pending every slot is resolved: emit them in order and
-  /// drop them, so the slots never reach back past the current batch.
-  void emit_if_resolved() {
-    if (!pending_.empty()) return;
-    for (const Slot& slot : slots_) {
-      if (slot.score > threshold_) {
-        ++acc_.flagged;
-        acc_.hits.push_back({slot.window, slot.score});
-      }
-    }
-    slots_.clear();
-  }
-
-  void score_pending() {
-    if (pending_.empty()) return;
-    std::vector<data::Clip> clips;
-    clips.reserve(pending_.size());
-    for (const Pending& p : pending_) {
-      clips.push_back(make_clip(p.canon.rects, window_nm_));
-    }
-    // By the Detector contract the batched scores are bit-identical to
-    // per-sample score(), so the batch size never changes the numbers.
-    const std::vector<float> scores = det_.score_batch(clips);
-    LHD_CHECK(scores.size() == clips.size(), "score_batch size mismatch");
-    acc_.windows_classified += pending_.size();
-    for (std::size_t i = 0; i < pending_.size(); ++i) {
-      cache_.insert(pending_[i].canon, pending_[i].hash, scores[i]);
-    }
-    // Every unresolved slot references the batch just scored: slots of
-    // earlier batches were emitted when those batches resolved.
-    for (Slot& slot : slots_) {
-      if (slot.pending == kResolved) continue;
-      slot.score = scores[static_cast<std::size_t>(slot.pending)];
-      slot.pending = kResolved;
-      if (slot.tag != kNoTag) hook_(slot.tag, slot.score);
-    }
-    pending_.clear();
-    pending_by_hash_.clear();
-    ++generation_;  // outstanding PendingRefs are now stale
-    emit_if_resolved();
-  }
-
   const Detector& det_;
   ScoreCache& cache_;
   ShardAccum& acc_;
   geom::Coord window_nm_;
   float threshold_;
-  std::size_t batch_;
-  ResolveHook hook_;
-  std::vector<Slot> slots_;
-  std::uint64_t generation_ = 0;
-  std::vector<Pending> pending_;
-  std::unordered_map<std::uint64_t, std::size_t> pending_by_hash_;
 };
 
-/// Shared scan skeleton: set up the scan's ScoreCache and batch size,
-/// enumerate the window grid over `extent`, shard it row-wise, hand every
-/// window to a per-shard worker built by `make_worker(accum, cache, batch)`
-/// (flushed at shard end), and merge shards in row-major order so results
-/// match the serial scan bit for bit. Rows are split *evenly*: with R rows
-/// over S shards the first R%S shards take one extra row, so every shard
-/// covers a non-empty contiguous ascending range and shards.size() is the
-/// shard count actually used.
+/// Shared scan skeleton: set up the scan's ScoreCache, enumerate the window
+/// grid over `extent`, shard it row-wise, hand every window to a per-shard
+/// worker built by `make_worker(accum, cache)`, and merge shards in
+/// row-major order so results match the serial scan bit for bit. Rows are
+/// split *evenly*: with R rows over S shards the first R%S shards take one
+/// extra row, so every shard covers a non-empty contiguous ascending range
+/// and shards.size() is the shard count actually used.
 ///
 /// The cache set-up is the same for every scan. Dedup on uses the
 /// caller-shared ScanConfig::cache or a private one of cache_capacity
-/// entries, with ScanConfig::batch. Dedup off is the degenerate case: a
-/// private capacity-0 cache that memoizes nothing and a batch of 1, so
-/// every window reaches the detector on its own, in scan order.
+/// entries. Dedup off is the degenerate case: a private capacity-0 cache
+/// that memoizes nothing, so every window reaches the detector on its own.
 template <typename MakeWorker>
 ScanResult grid_scan(const geom::Rect& extent, const ScanConfig& config,
                      ThreadPool& pool, const MakeWorker& make_worker) {
@@ -379,7 +253,6 @@ ScanResult grid_scan(const geom::Rect& extent, const ScanConfig& config,
   ScoreCache& cache = !config.dedup            ? owned.emplace(0)
                       : config.cache != nullptr ? *config.cache
                                   : owned.emplace(config.cache_capacity);
-  const std::size_t batch = config.dedup ? config.batch : 1;
   // A cache shared across scans keeps cumulative totals: report this
   // scan's delta, not cache.stats() (the two-scans-one-cache regression).
   const ScoreCache::Stats before = cache.stats();
@@ -391,7 +264,7 @@ ScanResult grid_scan(const geom::Rect& extent, const ScanConfig& config,
   const auto scan_rows = [&](std::size_t lo, std::size_t hi,
                              ShardAccum& acc) {
     obs::ScopedTimer shard_timer(acc.seconds);
-    auto worker = make_worker(acc, cache, batch);
+    auto worker = make_worker(acc, cache);
     for (std::size_t r = lo; r < hi; ++r) {
       const geom::Coord y = row_ys[r];
       for (geom::Coord x = extent.xlo; x < extent.xhi;
@@ -400,7 +273,6 @@ ScanResult grid_scan(const geom::Rect& extent, const ScanConfig& config,
                                  y + config.window_nm));
       }
     }
-    worker.flush();
   };
 
   const std::size_t shards =
@@ -418,24 +290,19 @@ ScanResult grid_scan(const geom::Rect& extent, const ScanConfig& config,
       scan_rows(lo, hi, accums[s]);
     });
   }
-  std::uint64_t alias_hits = 0;
   for (const auto& acc : accums) {
     result.windows_total += acc.windows_total;
     result.windows_classified += acc.windows_classified;
     result.flagged += acc.flagged;
     result.replay_hits += acc.replay_hits;
     result.stitch_windows += acc.stitch_windows;
-    alias_hits += acc.batch_alias_hits;
     result.hits.insert(result.hits.end(), acc.hits.begin(), acc.hits.end());
     result.shards.push_back(
         {acc.windows_total, acc.seconds, acc.query_seconds});
   }
-  // Intra-batch duplicates probed the cache before their pattern's memo
-  // was committed but were served without a detector invocation, which is
-  // what the hit/miss split reports; the hit+miss total is conserved.
   const ScoreCache::Stats stats = cache.stats() - before;
-  result.cache_hits = stats.hits + alias_hits;
-  result.cache_misses = stats.misses - alias_hits;
+  result.cache_hits = stats.hits;
+  result.cache_misses = stats.misses;
   result.cache_evictions = stats.evictions;
   result.seconds = sw.seconds();
   auto& reg = obs::Registry::global();
@@ -514,13 +381,16 @@ struct ReplayEntry {
   float score = 0.0f;
 };
 
-/// Scan-wide memo of *committed* window outcomes by replay key, shared by
-/// every shard. Only resolved scores are published (pending batch entries
-/// stay shard-local), so readers never see a placeholder; since a key's
-/// score is a pure function of the key, racing writers are idempotent.
-/// Entry count is bounded as a backstop: a chip whose every window has a
-/// unique key (no repetition to exploit) stops being memoized past the
-/// cap instead of growing O(windows) state — lookups stay correct.
+/// Entry bound of each replay memo, the scan-wide ReplayCache and every
+/// shard-local one, as a backstop: a chip whose every window has a unique
+/// key (no repetition to exploit) stops being memoized past the cap
+/// instead of growing O(windows) state — lookups stay correct.
+constexpr std::size_t kMaxReplayEntries = std::size_t{1} << 20;
+
+/// Scan-wide memo of window outcomes by replay key, shared by every shard.
+/// An outcome is published once it is known, so readers never see a
+/// placeholder; since a key's score is a pure function of the key, racing
+/// writers are idempotent. Bounded by kMaxReplayEntries.
 class ReplayCache {
  public:
   std::optional<ReplayEntry> lookup(const ReplayKey& key) const {
@@ -532,13 +402,11 @@ class ReplayCache {
 
   void insert(const ReplayKey& key, const ReplayEntry& entry) {
     const MutexLock lock(mutex_);
-    if (map_.size() >= kMaxEntries) return;
+    if (map_.size() >= kMaxReplayEntries) return;
     map_.emplace(key, entry);
   }
 
  private:
-  static constexpr std::size_t kMaxEntries = std::size_t{1} << 20;
-
   mutable Mutex mutex_;
   std::unordered_map<ReplayKey, ReplayEntry, ReplayKeyHash> map_
       LHD_GUARDED_BY(mutex_);
@@ -562,23 +430,20 @@ struct Visit {
 /// touching a once-placed visit cannot recur, so it skips the replay key
 /// and both memos and goes straight to the content path; that is every
 /// window of a flattened chip. Otherwise the window is served from (in
-/// order) the shard-local memo, the shared ReplayCache, a slot still
-/// pending in the scorer's batch, or the content path. The content path
-/// inverse-transforms the window into each visit's cell frame, queries
-/// that cell's ChipIndex, maps the clipped rects back, and admits the
-/// window to the DedupScorer (ScoreCache dedup + batched detector) unless
-/// it is empty or the prefilter rejects it. Resolved scores and skips of
-/// keyed windows are committed back to both memos (scores via the
-/// scorer's hook), so every later window with the same key — any shard —
-/// replays without touching geometry. Not movable: the hook lambda
-/// captures `this`.
+/// order) the shard-local memo, the shared ReplayCache, or the content
+/// path. The content path inverse-transforms the window into each visit's
+/// cell frame, queries that cell's ChipIndex, maps the clipped rects back,
+/// and hands the window to the DedupScorer (ScoreCache probe, detector on
+/// a miss) unless it is empty or the prefilter rejects it. A keyed
+/// window's score or skip is committed to both memos the moment it is
+/// known, so every later window with the same key — any shard — replays
+/// without touching geometry.
 class ScanWorker {
  public:
   ScanWorker(std::span<const ChipIndex> cells, const std::vector<Visit>& visits,
              const ChipIndex& instances, ReplayCache& replay,
              const Detector* prefilter, const Detector& det,
-             ScoreCache& cache, std::size_t batch, ShardAccum& acc,
-             geom::Coord window_nm)
+             ScoreCache& cache, ShardAccum& acc, geom::Coord window_nm)
       : cells_(cells),
         visits_(visits),
         instances_(instances),
@@ -586,15 +451,8 @@ class ScanWorker {
         prefilter_(prefilter),
         window_nm_(window_nm),
         acc_(acc),
-        scorer_(det, cache, acc, window_nm, batch,
-                [this](std::size_t tag, float score) {
-                  commit_entry(pending_keys_[tag], {false, score});
-                  pending_refs_.erase(pending_keys_[tag]);
-                }),
+        scorer_(det, cache, acc, window_nm),
         cell_scratch_(cells.size()) {}
-
-  ScanWorker(const ScanWorker&) = delete;
-  ScanWorker& operator=(const ScanWorker&) = delete;
 
   void window(const geom::Rect& w) {
     ++acc_.windows_total;
@@ -609,7 +467,7 @@ class ScanWorker {
                     [&](std::uint32_t id) { return visits_[id].once; })) {
       std::vector<geom::Rect> rects = gather(w);
       query_timer.stop();
-      if (admit(rects)) scorer_.enqueue(w, std::move(rects));
+      if (admit(rects)) scorer_.score(w, std::move(rects));
       return;
     }
     query_timer.stop();
@@ -632,52 +490,30 @@ class ScanWorker {
     }
     if (const auto shared = replay_.lookup(key_)) {
       ++acc_.replay_hits;
-      local_.emplace(key_, *shared);
+      remember(key_, *shared);
       emit(w, *shared);
       return;
-    }
-    // The key's first occurrence may still be pending in the current
-    // batch: alias this window to its slot instead of re-gathering the
-    // geometry. A stale ref (batch already scored) falls through — the
-    // score was committed by the hook, so local_ serves the next repeat.
-    if (const auto it = pending_refs_.find(key_); it != pending_refs_.end()) {
-      if (scorer_.repeat(w, it->second)) {
-        ++acc_.replay_hits;
-        return;
-      }
-      pending_refs_.erase(it);
     }
     std::vector<geom::Rect> rects;
     {
       obs::ScopedTimer gather_timer(acc_.query_seconds);
       rects = gather(w);
     }
-    if (!admit(rects)) {
-      commit_entry(key_, {true, 0.0f});
-      return;
-    }
-    pending_keys_.push_back(key_);
-    if (const auto ref =
-            scorer_.enqueue(w, std::move(rects), pending_keys_.size() - 1)) {
-      pending_refs_.emplace(key_, *ref);
-    }
-  }
-
-  void flush() {
-    scorer_.finish();
-    pending_keys_.clear();
-    pending_refs_.clear();  // hooks already emptied it; keep the invariant
+    const ReplayEntry entry =
+        admit(rects) ? ReplayEntry{false, scorer_.score(w, std::move(rects))}
+                     : ReplayEntry{true, 0.0f};
+    remember(key_, entry);
+    replay_.insert(key_, entry);
   }
 
  private:
   void emit(const geom::Rect& w, const ReplayEntry& entry) {
-    if (entry.skipped) return;
-    scorer_.push_resolved(w, entry.score);
+    if (!entry.skipped) scorer_.emit(w, entry.score);
   }
 
-  void commit_entry(const ReplayKey& key, const ReplayEntry& entry) {
-    local_.insert_or_assign(key, entry);
-    replay_.insert(key, entry);
+  /// The one writer of the shard-local memo, bounded like ReplayCache.
+  void remember(const ReplayKey& key, const ReplayEntry& entry) {
+    if (local_.size() < kMaxReplayEntries) local_.emplace(key, entry);
   }
 
   /// Whether the window is scored: it must hold geometry, and the
@@ -735,12 +571,6 @@ class ScanWorker {
   std::vector<std::uint32_t> ids_;  ///< visits overlapping current window
   ReplayKey key_;                   ///< current window's key (reused)
   std::unordered_map<ReplayKey, ReplayEntry, ReplayKeyHash> local_;
-  std::vector<ReplayKey> pending_keys_;  ///< hook tag -> key, cleared at flush
-  /// Keys whose first window is still pending in the scorer's current
-  /// batch; repeats alias its slot. The hook erases entries as their batch
-  /// resolves, so the map only ever holds live refs.
-  std::unordered_map<ReplayKey, DedupScorer::PendingRef, ReplayKeyHash>
-      pending_refs_;
 };
 
 /// Every scan's set-up: index the visit bboxes (the instance index) and
@@ -773,9 +603,9 @@ ScanResult scan_visits(std::span<const ChipIndex> cells,
   ReplayCache replay;
   return grid_scan(
       instances.extent(), config, pool,
-      [&](ShardAccum& acc, ScoreCache& cache, std::size_t batch) {
+      [&](ShardAccum& acc, ScoreCache& cache) {
         return ScanWorker(cells, visits, instances, replay, prefilter,
-                          detector, cache, batch, acc, config.window_nm);
+                          detector, cache, acc, config.window_nm);
       });
 }
 

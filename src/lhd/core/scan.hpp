@@ -11,15 +11,14 @@
 ///
 /// Every scan runs one scorer. Each window's geometry is keyed exactly
 /// (data/clip_hash.hpp: the window-local rects, sorted, plus window_nm),
-/// looked up in a scan-wide ScoreCache shared by all shards, and only
-/// cache misses reach the detector, batched through
-/// Detector::score_batch(). The key is the window's own clip, so a memoized
-/// score is the score of the window as it sits, for every detector: the
-/// hit list is identical to scoring each window on its own (the testkit
-/// naive_scan oracle) across thread counts, cache capacities and batch
-/// sizes. ScanConfig::dedup only chooses the cache: off is a private
-/// capacity-0 cache with a batch of 1 (every window scored once, in scan
-/// order), on is a memo of cache_capacity entries with ScanConfig::batch.
+/// looked up in a scan-wide ScoreCache shared by all shards, and a cache
+/// miss is scored by Detector::score() the moment it is found, then
+/// memoized. The key is the window's own clip, so a memoized score is the
+/// score of the window as it sits, for every detector: the hit list is
+/// identical to scoring each window on its own (the testkit naive_scan
+/// oracle) across thread counts and cache capacities. ScanConfig::dedup
+/// only chooses the cache: off is a private capacity-0 cache (every window
+/// scored once, in scan order), on is a memo of cache_capacity entries.
 /// With dedup on, windows_classified becomes the number of *detector
 /// invocations*, which a shared cache makes schedule-dependent — it is the
 /// one ScanResult count that may differ run to run.
@@ -156,17 +155,12 @@ struct ScanConfig {
   /// Memoize window scores by exact geometry: classify each distinct
   /// window clip once (per cache lifetime) instead of once per occurrence.
   /// Off by default: every window is then scored on its own, through a
-  /// capacity-0 cache with a batch of 1. The hit list is the same either
-  /// way.
+  /// capacity-0 cache. The hit list is the same either way.
   bool dedup = false;
-  /// Total ScoreCache entry bound when dedup is on. 0 keeps dedup's
-  /// batching flow but disables memoization entirely (every window
-  /// misses) — useful for isolating cache effects.
+  /// Total ScoreCache entry bound when dedup is on. 0 disables memoization
+  /// (every window misses), which is exactly the plain scan — useful for
+  /// isolating cache effects.
   std::size_t cache_capacity = 1 << 16;
-  /// Cache misses per shard accumulated before one batched
-  /// Detector::score_batch() call when dedup is on (clamped to >= 1; dedup
-  /// off always scores one window at a time).
-  std::size_t batch = 32;
   /// Scan the GDS hierarchy instead of a flattened layer: index each
   /// distinct cell once and replay memoized window scores per repeated
   /// placement (scan_library() only). scan_chip* already scans its chip as
@@ -212,9 +206,8 @@ struct ScanResult {
   std::size_t windows_classified = 0;
   std::size_t flagged = 0;
   double seconds = 0.0;
-  /// Windows served without a detector invocation — from a committed
-  /// ScoreCache memo or from a clip pending in the same batch. hits +
-  /// misses == one probe per scored window (under `hierarchical`,
+  /// Windows served from a ScoreCache memo, without a detector
+  /// invocation. hits + misses == one probe per scored window (under `hierarchical`,
   /// replayed windows skip the probe, so only gathered windows count).
   /// With dedup off the cache has capacity 0, so hits are 0.
   std::uint64_t cache_hits = 0;
@@ -223,9 +216,9 @@ struct ScanResult {
   std::uint64_t cache_misses = 0;
   std::uint64_t cache_evictions = 0;  ///< ScoreCache evictions
   /// Windows served by replay (0 on a flattened scan) — an identical
-  /// replay key was already memoized (shard-local or scan-wide) or still
-  /// pending in the current batch — so no geometry extraction, memo-key
-  /// build, or detector work happened for them.
+  /// replay key was already memoized (shard-local or scan-wide) — so no
+  /// geometry extraction, memo-key build, or detector work happened for
+  /// them.
   std::uint64_t replay_hits = 0;
   /// Windows overlapping two or more instance bboxes (0 on a flattened
   /// scan) — the halo/stitch bands where instances abut or overlap loose
@@ -258,7 +251,7 @@ ScanResult scan_chip(const ChipIndex& chip, const Detector& detector,
 
 /// Two-stage scan: `prefilter` proposes candidate windows (its alarms,
 /// predict() on each window as it sits), `refiner` classifies only those
-/// through the same memo and batching as scan_chip. windows_classified
+/// through the same memo as scan_chip. windows_classified
 /// counts refiner work only.
 ScanResult scan_chip_two_stage(const ChipIndex& chip,
                                const Detector& prefilter,

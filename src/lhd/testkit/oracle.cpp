@@ -287,23 +287,19 @@ void expect_dedup_scan_parity(const core::ChipIndex& chip,
                               core::ScanConfig config,
                               const std::vector<std::size_t>& thread_counts,
                               const std::vector<std::size_t>& cache_capacities,
-                              const std::vector<std::size_t>& batch_sizes,
                               ThreadPool& pool) {
   const auto want = naive_scan(chip, detector, config);
   config.dedup = true;
   for (const std::size_t threads : thread_counts) {
     for (const std::size_t capacity : cache_capacities) {
-      for (const std::size_t batch : batch_sizes) {
-        config.threads = threads;
-        config.cache_capacity = capacity;
-        config.batch = batch;
-        const auto got = core::scan_chip(chip, detector, config, pool);
-        std::ostringstream label;
-        label << "dedup scan(threads=" << threads << ", capacity="
-              << capacity << ", batch=" << batch << ")";
-        expect_same_answer(got, want, label.str());
-        expect_no_extra_work(got, want, label.str());
-      }
+      config.threads = threads;
+      config.cache_capacity = capacity;
+      const auto got = core::scan_chip(chip, detector, config, pool);
+      std::ostringstream label;
+      label << "dedup scan(threads=" << threads << ", capacity=" << capacity
+            << ")";
+      expect_same_answer(got, want, label.str());
+      expect_no_extra_work(got, want, label.str());
     }
   }
 }

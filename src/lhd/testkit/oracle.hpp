@@ -80,7 +80,7 @@ class DensityCutDetector : public core::Detector {
 /// detector.score(). With a prefilter, a window reaches detector.score() only if
 /// prefilter->predict() accepts it (the two-stage scan). Fills
 /// windows_total, windows_classified, flagged and hits; ignores threads,
-/// dedup, the cache and batch.
+/// dedup and the cache.
 core::ScanResult naive_scan(const core::ChipIndex& chip,
                             const core::Detector& detector,
                             const core::ScanConfig& config,
@@ -97,8 +97,8 @@ void expect_scan_parity(const core::ChipIndex& chip,
                         ThreadPool& pool,
                         const core::Detector* prefilter = nullptr);
 
-/// Dedup-scan equality: across every (thread count, cache capacity, batch
-/// size) combination the dedup scan must give naive_scan's hits (==),
+/// Dedup-scan equality: across every (thread count, cache capacity)
+/// combination the dedup scan must give naive_scan's hits (==),
 /// flagged and windows_total, for any detector — the memo key is the
 /// window's exact geometry. windows_classified is deliberately NOT
 /// compared: with a shared cache it counts unique misses, which is
@@ -108,7 +108,6 @@ void expect_dedup_scan_parity(const core::ChipIndex& chip,
                               core::ScanConfig config,
                               const std::vector<std::size_t>& thread_counts,
                               const std::vector<std::size_t>& cache_capacities,
-                              const std::vector<std::size_t>& batch_sizes,
                               ThreadPool& pool);
 
 /// Hierarchical-scan equality: naive_scan over the flattened `top`/`layer`

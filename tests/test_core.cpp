@@ -733,7 +733,7 @@ TEST(Scan, DedupTwoStageMatchesNaive) {
             naive.windows_classified);
 }
 
-TEST(Scan, DedupCapacityZeroAndBatchOneStillMatch) {
+TEST(Scan, DedupCapacityZeroScoresEveryWindowLikeNaive) {
   synth::StyleConfig style;
   const auto lib = synth::build_chip(style, 3, 3, 43);
   const auto index = ChipIndex::from_library(lib, "TOP", synth::kChipLayer);
@@ -742,13 +742,12 @@ TEST(Scan, DedupCapacityZeroAndBatchOneStillMatch) {
   const auto naive = testkit::naive_scan(index, det, cfg);
   cfg.dedup = true;
   cfg.cache_capacity = 0;  // memoization off: every window misses
-  cfg.batch = 1;           // degenerate batching: score one at a time
   const auto dedup = scan_chip(index, det, cfg);
   EXPECT_EQ(dedup.hits, naive.hits);
   EXPECT_EQ(dedup.flagged, naive.flagged);
   EXPECT_EQ(dedup.cache_hits, 0u);
-  // With the cache disabled and batch 1, intra-batch dedup cannot trigger
-  // either — every window reaches the detector, exactly like naive.
+  // With the cache disabled every window reaches the detector, exactly
+  // like naive.
   EXPECT_EQ(dedup.windows_classified, naive.windows_classified);
 }
 
@@ -768,23 +767,12 @@ TEST(Scan, DedupClassifiesRepeatedPatternOnce) {
   cfg.window_nm = 1024;
   cfg.stride_nm = 1024;
   cfg.dedup = true;
-  cfg.batch = 1;  // insert each miss before the next window probes
   const auto result = scan_chip(index, det, cfg);
   EXPECT_EQ(result.windows_total, 16u);
   EXPECT_EQ(result.flagged, 16u);
   EXPECT_EQ(result.windows_classified, 1u);  // one detector invocation
   EXPECT_EQ(result.cache_hits, 15u);
   EXPECT_EQ(result.cache_misses, 1u);
-
-  // With a large batch the 15 duplicates alias the pattern while it is
-  // still pending (the memo is never committed before they arrive); the
-  // hit/miss split must report the same dedup outcome regardless.
-  cfg.batch = 32;
-  const auto batched = scan_chip(index, det, cfg);
-  EXPECT_EQ(batched.windows_classified, 1u);
-  EXPECT_EQ(batched.cache_hits, 15u);
-  EXPECT_EQ(batched.cache_misses, 1u);
-  EXPECT_EQ(batched.hits, result.hits);
 }
 
 TEST(Scan, ShardSplitIsBalancedWhenRowsDoNotDivide) {
@@ -1139,19 +1127,17 @@ TEST(CnnDetector, RejectsClipOfAnotherWindowSize) {
   EXPECT_THROW(det.score_batch(std::vector<data::Clip>{clip}), Error);
 }
 
-/// Density detector whose score_batch throws on its Nth invocation
-/// (process-wide across threads); per-clip score() never throws, so the
-/// naive baseline path is unaffected.
-class FaultyBatchDetector : public testkit::DensityCutDetector {
+/// Density detector whose score() throws on its Nth invocation
+/// (process-wide across threads).
+class FaultyScoreDetector : public testkit::DensityCutDetector {
  public:
-  explicit FaultyBatchDetector(int fail_on_call) : fail_on_(fail_on_call) {}
+  explicit FaultyScoreDetector(int fail_on_call) : fail_on_(fail_on_call) {}
 
-  std::vector<float> score_batch(
-      std::span<const data::Clip> clips) const override {
+  float score(const data::Clip& clip) const override {
     if (calls_.fetch_add(1) + 1 == fail_on_) {
-      throw Error("injected score_batch fault");
+      throw Error("injected score fault");
     }
-    return DensityCutDetector::score_batch(clips);
+    return DensityCutDetector::score(clip);
   }
 
  private:
@@ -1160,7 +1146,7 @@ class FaultyBatchDetector : public testkit::DensityCutDetector {
 };
 
 TEST(Scan, DetectorFaultMidScanPropagatesAndScansRecover) {
-  // A detector that throws on its second score_batch call inside a
+  // A detector that throws on its second score call inside a
   // two-thread dedup scan: the scan must rethrow (not hang or deadlock),
   // and a subsequent clean scan over the same chip on the same pool must
   // match the naive baseline.
@@ -1173,9 +1159,8 @@ TEST(Scan, DetectorFaultMidScanPropagatesAndScansRecover) {
   cfg.stride_nm = 512;
   cfg.dedup = true;
   cfg.threads = 2;
-  cfg.batch = 8;
 
-  const FaultyBatchDetector faulty(/*fail_on_call=*/2);
+  const FaultyScoreDetector faulty(/*fail_on_call=*/2);
   EXPECT_THROW(scan_chip(chip, faulty, cfg, pool), Error);
 
   const testkit::DensityCutDetector clean(0.10f);

@@ -83,19 +83,19 @@ TEST(Property, ScanParityAcrossThreadCounts) {
   });
 }
 
-TEST(Property, DedupScanParityAcrossThreadsCapacitiesAndBatches) {
+TEST(Property, DedupScanParityAcrossThreadsAndCapacities) {
   ThreadPool pool(4);
   const DensityCutDetector detector(0.05f);
   // Capacity 0 (memoization off) and 1 (constant thrash) are the eviction
-  // edge cases; batch 1 flushes every miss immediately.
+  // edge cases.
   CHECK_PROPERTY("dedup-scan-parity", 24, [&](Rng& rng, std::size_t size) {
     const core::ChipIndex chip(random_rects(rng, 8 + size * 8, 8192, 16, 900));
     const core::ChipIndex small(random_rects(rng, 4 + size * 2, 4096, 16, 900));
     const core::ScanConfig cfg = parity_config();
     expect_dedup_scan_parity(chip, detector, cfg, {1, 2, 8}, {0, 1, 4096},
-                             {1, 32}, pool);
+                             pool);
     expect_dedup_scan_parity(small, fixed_cnn(), cfg, {1, 3}, {1, 4096},
-                             {1, 32}, pool);
+                             pool);
   });
 }
 

@@ -749,19 +749,21 @@ TEST(ServeServer, FullQueueAnswersTypedBusy) {
   // One request is in flight and the bound is 1: the next scoring request
   // must be rejected up front, typed and op-tagged — never queued.
   const auto busy = server.handle(score_request({{0, 0, 64, 64}}, 2));
+  // Control ops bypass admission: stats still answers while saturated.
+  Request stats;
+  stats.body = Stats{};
+  const auto stats_resp = server.handle(stats);
+  // Release the blocked request before any ASSERT_* can return early: a
+  // joinable std::thread going out of scope calls std::terminate.
+  gate->open();
+  blocked.join();
+
   ASSERT_TRUE(std::holds_alternative<BusyResult>(busy.body));
   EXPECT_EQ(std::get<BusyResult>(busy.body).op, Op::ScoreClip);
   EXPECT_EQ(server.registry().counter("serve.responses_busy").value(), 1u);
   EXPECT_EQ(server.registry().counter("serve.tenant.2.busy").value(), 1u);
+  EXPECT_TRUE(std::holds_alternative<StatsResult>(stats_resp.body));
 
-  // Control ops bypass admission: stats still answers while saturated.
-  Request stats;
-  stats.body = Stats{};
-  EXPECT_TRUE(
-      std::holds_alternative<StatsResult>(server.handle(stats).body));
-
-  gate->open();
-  blocked.join();
   // Capacity released: scoring admits again.
   const auto after = server.handle(score_request({{0, 0, 64, 64}}, 3));
   EXPECT_TRUE(std::holds_alternative<ScoreResult>(after.body));
@@ -828,12 +830,15 @@ TEST(ServeServer, ReloadMidTrafficFinishesInFlightOnOldSnapshot) {
   body.weights = {42};
   reload.body = std::move(body);
   const auto resp = server.handle(reload);
-  ASSERT_TRUE(std::holds_alternative<ReloadResult>(resp.body));
-  EXPECT_EQ(std::get<ReloadResult>(resp.body).version, 2u);
-  EXPECT_EQ(server.model_version("default"), 2u);
-
+  const auto version = server.model_version("default");
+  // Release the blocked request before any ASSERT_* can return early: a
+  // joinable std::thread going out of scope calls std::terminate.
   gate->open();
   blocked.join();
+
+  ASSERT_TRUE(std::holds_alternative<ReloadResult>(resp.body));
+  EXPECT_EQ(std::get<ReloadResult>(resp.body).version, 2u);
+  EXPECT_EQ(version, 2u);
   // The in-flight request finished on the old snapshot (gate scores with
   // offset 0), not the new offset-42 weights.
   ASSERT_TRUE(in_flight_score.has_value());
